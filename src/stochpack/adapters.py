@@ -252,8 +252,12 @@ class DegreeRelaxationAdapter(ProblemAdapter):
     def __init__(self, inst: PackingInstance):
         super().__init__(inst)
         meta = inst.meta
+        if "n_vertices" not in meta or "edges" not in meta:
+            raise StructureError("graph metadata needs n_vertices and edges")
         self.n_vertices = int(meta["n_vertices"])
         self.edges = [tuple(int(v) for v in e) for e in meta["edges"]]
+        if len(self.edges) != inst.m:
+            raise StructureError("edge list does not match the item count")
 
     def solve_relaxation(self, weights) -> LpSolution:
         w = _check_weights(self.instance, weights)

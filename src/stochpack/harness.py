@@ -26,6 +26,7 @@ from .errors import StochpackError, StructureError
 from .generators import gen_objective, generate
 from .instances import QueryOracle, load_instance, sample_realization
 from .strategies import (
+    BASELINE_KINDS,
     StrategyConfig,
     default_iterations,
     run_adaptive,
@@ -81,6 +82,7 @@ _STRATEGY_FIELDS = {
     "derandomize_integral",
 }
 _OBJECTIVE_FIELDS = {"c_low", "c_high", "p"}
+_BASELINE_FIELDS = {"kind", "T"}
 
 
 def child_seed(master_seed, *parts) -> int:
@@ -131,6 +133,18 @@ def validate_spec(spec: dict) -> dict:
             raise StructureError(f"unknown strategy fields: {sorted(unknown)}")
         if s.get("T") is not None and int(s["T"]) < 1:
             raise StructureError("strategy T override must be >= 1")
+    for b in baselines:
+        if isinstance(b, dict):
+            unknown = set(b) - _BASELINE_FIELDS
+            if unknown:
+                raise StructureError(f"unknown baseline fields: {sorted(unknown)}")
+            if int(b.get("T", 1)) < 1:
+                raise StructureError("baseline T must be >= 1")
+            b = b.get("kind")
+        if b not in BASELINE_KINDS:
+            raise StructureError(
+                f"baseline kind must be one of {list(BASELINE_KINDS)}, got {b!r}"
+            )
     for t in spec.get("t_grid", []):
         if int(t) < 1:
             raise StructureError("t_grid entries must be >= 1")

@@ -1,10 +1,11 @@
 """Exact-at-desk-scale LP solving for max{c.x : Ax <= b, 0 <= x <= 1}.
 
-The engine is a dense bounded-variable primal simplex with least-index
-(Bland) pivoting, so runs are deterministic and never cycle.  Two arithmetic
-backends share the same pivoting logic: ``float`` works on numpy tableaus,
-``rational`` works on ``fractions.Fraction`` and is exact (arbitrary
-precision, so there is no overflow to degrade to).
+The engine is one dense bounded-variable two-phase primal simplex with
+least-index (Bland) pivoting, so runs are deterministic and never cycle.  It
+is generic over the arithmetic: ``float`` runs it on float64 arrays with
+tolerances, ``rational`` on object arrays of ``fractions.Fraction`` with
+every tolerance zero, which is exact (arbitrary precision, so there is no
+overflow to degrade to).
 
 Row duals are read off the final basis (the reduced costs of the slack
 columns); an independent route that solves the explicit covering dual is
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +84,6 @@ class LpSolution:
     is_vertex: bool
     arithmetic: str
     problem: LpProblem
-    tableau_dump: Optional[str] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,42 +109,77 @@ class DualityReport:
         return f"{head}: gap={self.gap}, worst={self.worst}"
 
 
-# ---------------------------------------------------------------------------
-# float backend
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Arithmetic:
+    """Element type and tolerances of one simplex backend."""
+
+    name: str
+    dtype: object
+    zero: object
+    one: object
+    tol: object  # a reduced cost or pivot-column entry counts beyond this
+    tie: object  # relative slack under which two ratios tie
+    art: object  # largest artificial total phase 1 accepts as feasible
+    scalar: Callable  # converts a reported value to its scalar type
+    # Pivot updates touch only the nonzero entries of the pivot row and
+    # column.  That pays off when every element operation is a Python call
+    # (Fraction); on float64 the gather and scatter cost more than they save.
+    sparse: bool
 
 
-def _solve_float(A, b, c, upper, max_pivots=None):
-    """Two-phase bounded simplex on numpy float64 tableaus.
+_FLOAT = _Arithmetic(
+    "float", np.float64, 0.0, 1.0, FEAS_TOL, 1e-12, 1e-7, float, False
+)
+_ZERO = Fraction(0)
+_EXACT = _Arithmetic(
+    "rational", object, _ZERO, Fraction(1), _ZERO, _ZERO, _ZERO, Fraction, True
+)
 
-    Returns a dict with the structural solution, basis, row duals, and the
-    final reduced costs.  ``upper`` holds per-variable upper bounds with
-    ``np.inf`` for free-above variables.
+
+def _arithmetic(name: str) -> _Arithmetic:
+    for ar in (_FLOAT, _EXACT):
+        if ar.name == name:
+            return ar
+    raise StructureError(f"unknown arithmetic {name!r}")
+
+
+def _typed(values, ar: _Arithmetic) -> np.ndarray:
+    """The float64 data of a problem as an array of the backend's type."""
+    arr = np.asarray(values, dtype=np.float64)
+    if ar is _FLOAT:
+        return arr
+    out = np.array([Fraction(v) for v in arr.ravel().tolist()], dtype=object)
+    return out.reshape(arr.shape)
+
+
+def _simplex(A, b, c, unit_bounds: bool, ar: _Arithmetic):
+    """Two-phase bounded simplex with least-index pivoting.
+
+    ``A``, ``b`` and ``c`` are arrays of the backend's type.  Every
+    structural variable has an upper bound of one when ``unit_bounds`` is
+    true, and none otherwise.  Returns the structural solution, the basis,
+    the final reduced costs and the bound status of every column.
     """
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
+    zero, one, tol = ar.zero, ar.one, ar.tol
     n, m = A.shape
     flip = b < 0
-    sign = np.where(flip, -1.0, 1.0)
+    sign = np.where(flip, -one, one)
     art_rows = np.nonzero(flip)[0]
     n_art = art_rows.size
     total = m + n + n_art
-    if max_pivots is None:
-        max_pivots = 200 + 60 * (n + m)
+    max_pivots = 200 + 60 * (n + m)
 
-    T = np.zeros((n, total))
+    T = np.full((n, total), zero, dtype=ar.dtype)
     T[:, :m] = A * sign[:, None]
     T[np.arange(n), m + np.arange(n)] = sign
-    for k, r in enumerate(art_rows):
-        T[r, m + n + k] = 1.0
-    rhs = (b * sign).astype(np.float64)
-    ub = np.full(total, np.inf)
-    ub[:m] = upper
+    T[art_rows, m + n + np.arange(n_art)] = one
+    rhs = b * sign
+    bounded = np.zeros(total, dtype=bool)
+    bounded[:m] = unit_bounds
+    ub = np.where(bounded, one, zero)
     status = np.full(total, _LOWER, dtype=np.int8)
     basis = (m + np.arange(n)).astype(np.int64)
-    for k, r in enumerate(art_rows):
-        basis[r] = m + n + k
+    basis[art_rows] = m + n + np.arange(n_art)
     status[basis] = _BASIC
     allowed = np.ones(total, dtype=bool)
     pivots = 0
@@ -160,8 +195,12 @@ def _solve_float(A, b, c, upper, max_pivots=None):
         T[r] /= piv
         rhs[r] /= piv
         col = T[:, j].copy()
-        col[r] = 0.0
-        T[...] -= np.outer(col, T[r])
+        col[r] = zero
+        if ar.sparse:
+            rows, cols = np.nonzero(col)[0], np.nonzero(T[r])[0]
+            T[np.ix_(rows, cols)] -= np.outer(col[rows], T[r, cols])
+        else:
+            T[...] -= np.outer(col, T[r])
         rhs[...] -= col * rhs[r]
         z[...] -= z[j] * T[r]
 
@@ -169,33 +208,29 @@ def _solve_float(A, b, c, upper, max_pivots=None):
         nonlocal pivots
         while True:
             cand = allowed & (
-                ((status == _LOWER) & (z > FEAS_TOL))
-                | ((status == _UPPER) & (z < -FEAS_TOL))
+                ((status == _LOWER) & (z > tol)) | ((status == _UPPER) & (z < -tol))
             )
             js = np.nonzero(cand)[0]
             if js.size == 0:
-                return z
+                return
             pivots += 1
             if pivots > max_pivots:
                 raise PivotLimitError(f"exceeded {max_pivots} pivots")
             j = int(js[0])
-            sigma = 1.0 if status[j] == _LOWER else -1.0
-            d = sigma * T[:, j]
+            d = T[:, j] if status[j] == _LOWER else -T[:, j]
             xb = compute_xb()
-            ub_basis = ub[basis]
-            ratios = np.full(n, np.inf)
-            dec = d > FEAS_TOL
-            ratios[dec] = np.maximum(xb[dec], 0.0) / d[dec]
-            inc = (d < -FEAS_TOL) & np.isfinite(ub_basis)
-            ratios[inc] = np.maximum(ub_basis[inc] - xb[inc], 0.0) / (-d[inc])
+            ratios = np.full(n, np.inf, dtype=ar.dtype)
+            dec = d > tol
+            ratios[dec] = np.maximum(xb[dec], zero) / d[dec]
+            inc = (d < -tol) & bounded[basis]
+            ratios[inc] = np.maximum(ub[basis][inc] - xb[inc], zero) / (-d[inc])
             rmin = ratios.min() if n else np.inf
-            t_own = ub[j]
-            if not np.isfinite(min(rmin, t_own)):
-                raise StructureError("LP is unbounded")
-            if t_own <= rmin:
+            if bounded[j] and ub[j] <= rmin:
                 status[j] = _UPPER if status[j] == _LOWER else _LOWER
                 continue
-            tied = np.nonzero(ratios <= rmin + 1e-12 * max(1.0, rmin))[0]
+            if rmin == np.inf:
+                raise StructureError("LP is unbounded")
+            tied = np.nonzero(ratios <= rmin + ar.tie * max(one, rmin))[0]
             r = int(tied[np.argmin(basis[tied])])
             leave = int(basis[r])
             status[leave] = _LOWER if d[r] > 0 else _UPPER
@@ -203,262 +238,43 @@ def _solve_float(A, b, c, upper, max_pivots=None):
             status[j] = _BASIC
             pivot(r, j, z)
 
+    def reduced_costs(cost):
+        return cost - cost[basis] @ T
+
     if n_art:
-        c1 = np.zeros(total)
-        c1[m + n :] = -1.0
-        z = c1 - c1[basis] @ T
-        run_phase(z)
+        c1 = np.full(total, zero, dtype=ar.dtype)
+        c1[m + n :] = -one
+        run_phase(reduced_costs(c1))
         xb = compute_xb()
-        art_total = sum(xb[r] for r in range(n) if basis[r] >= m + n)
-        if art_total > 1e-7:
+        if sum(xb[basis >= m + n]) > ar.art:
             raise StructureError("LP is infeasible")
-        for r in range(n):
-            if basis[r] >= m + n:
-                cols = np.nonzero(
-                    (np.abs(T[r, : m + n]) > FEAS_TOL) & (status[: m + n] != _BASIC)
-                )[0]
-                if cols.size:
-                    j = int(cols[0])
-                    old = int(basis[r])
-                    status[old] = _LOWER
-                    basis[r] = j
-                    status[j] = _BASIC
-                    pivot(r, j, np.zeros(total))
+        for r in np.nonzero(basis >= m + n)[0]:
+            cols = np.nonzero(
+                (np.abs(T[r, : m + n]) > tol) & (status[: m + n] != _BASIC)
+            )[0]
+            if cols.size:
+                j = int(cols[0])
+                status[basis[r]] = _LOWER
+                basis[r] = j
+                status[j] = _BASIC
+                pivot(r, j, np.full(total, zero, dtype=ar.dtype))
         allowed[m + n :] = False
 
-    c2 = np.zeros(total)
+    c2 = np.full(total, zero, dtype=ar.dtype)
     c2[:m] = c
-    z = c2 - c2[basis] @ T
+    z = reduced_costs(c2)
     run_phase(z)
 
     xb = compute_xb()
-    x = np.zeros(m)
-    up = (status[:m] == _UPPER).nonzero()[0]
-    x[up] = ub[up]
-    for r in range(n):
-        v = int(basis[r])
-        if v < m:
-            x[v] = xb[r]
-    return {
-        "x": x,
-        "basis": tuple(int(v) for v in basis),
-        "z": z,
-        "status": status,
-        "T": T,
-        "rhs": rhs,
-        "n": n,
-        "m": m,
-    }
-
-
-# ---------------------------------------------------------------------------
-# rational backend
-# ---------------------------------------------------------------------------
-
-
-def _solve_exact(A, b, c, upper, max_pivots=None):
-    """Twin of :func:`_solve_float` over Fractions; comparisons are exact."""
-    n = len(A)
-    m = len(A[0]) if n else len(c)
-    flip = [bi < 0 for bi in b]
-    art_rows = [i for i in range(n) if flip[i]]
-    n_art = len(art_rows)
-    total = m + n + n_art
-    if max_pivots is None:
-        max_pivots = 200 + 60 * (n + m)
-    zero, one = Fraction(0), Fraction(1)
-
-    T = [[zero] * total for _ in range(n)]
-    rhs = [zero] * n
-    for i in range(n):
-        s = -one if flip[i] else one
-        for j in range(m):
-            if A[i][j]:
-                T[i][j] = s * A[i][j]
-        T[i][m + i] = s
-        rhs[i] = s * b[i]
-    for k, r in enumerate(art_rows):
-        T[r][m + n + k] = one
-    ub: list[Optional[Fraction]] = list(upper) + [None] * (n + n_art)
-    status = [_LOWER] * total
-    basis = [m + i for i in range(n)]
-    for k, r in enumerate(art_rows):
-        basis[r] = m + n + k
-    for v in basis:
-        status[v] = _BASIC
-    allowed = [True] * total
-    pivots = 0
-
-    def compute_xb():
-        xb = list(rhs)
-        for j in range(total):
-            if status[j] == _UPPER:
-                u = ub[j]
-                for i in range(n):
-                    if T[i][j]:
-                        xb[i] -= T[i][j] * u
-        return xb
-
-    def pivot(r, j, z):
-        piv = T[r][j]
-        if piv != one:
-            T[r] = [v / piv for v in T[r]]
-            rhs[r] /= piv
-        row = T[r]
-        for i in range(n):
-            if i == r:
-                continue
-            f = T[i][j]
-            if f:
-                Ti = T[i]
-                for k in range(total):
-                    if row[k]:
-                        Ti[k] -= f * row[k]
-                rhs[i] -= f * rhs[r]
-        f = z[j]
-        if f:
-            for k in range(total):
-                if row[k]:
-                    z[k] -= f * row[k]
-
-    def run_phase(z):
-        nonlocal pivots
-        while True:
-            j = -1
-            for k in range(total):
-                if not allowed[k]:
-                    continue
-                if status[k] == _LOWER and z[k] > 0:
-                    j = k
-                    break
-                if status[k] == _UPPER and z[k] < 0:
-                    j = k
-                    break
-            if j < 0:
-                return
-            pivots += 1
-            if pivots > max_pivots:
-                raise PivotLimitError(f"exceeded {max_pivots} pivots")
-            sigma = one if status[j] == _LOWER else -one
-            xb = compute_xb()
-            rmin: Optional[Fraction] = None
-            r_best = -1
-            for i in range(n):
-                d = sigma * T[i][j]
-                if d > 0:
-                    ratio = max(xb[i], zero) / d
-                elif d < 0:
-                    u = ub[basis[i]]
-                    if u is None:
-                        continue
-                    ratio = max(u - xb[i], zero) / (-d)
-                else:
-                    continue
-                if rmin is None or ratio < rmin or (
-                    ratio == rmin and basis[i] < basis[r_best]
-                ):
-                    rmin = ratio
-                    r_best = i
-            t_own = ub[j]
-            if rmin is None and t_own is None:
-                raise StructureError("LP is unbounded")
-            if t_own is not None and (rmin is None or t_own <= rmin):
-                status[j] = _UPPER if status[j] == _LOWER else _LOWER
-                continue
-            r = r_best
-            leave = basis[r]
-            status[leave] = _LOWER if sigma * T[r][j] > 0 else _UPPER
-            basis[r] = j
-            status[j] = _BASIC
-            pivot(r, j, z)
-
-    if n_art:
-        z = [zero] * total
-        c1b = {m + n + k: -one for k in range(n_art)}
-        for j in range(total):
-            acc = c1b.get(j, zero)
-            for i in range(n):
-                cb = c1b.get(basis[i], zero)
-                if cb and T[i][j]:
-                    acc -= cb * T[i][j]
-            z[j] = acc
-        run_phase(z)
-        xb = compute_xb()
-        art_total = sum(xb[r] for r in range(n) if basis[r] >= m + n)
-        if art_total > 0:
-            raise StructureError("LP is infeasible")
-        for r in range(n):
-            if basis[r] >= m + n:
-                for j in range(m + n):
-                    if T[r][j] != 0 and status[j] != _BASIC:
-                        old = basis[r]
-                        status[old] = _LOWER
-                        basis[r] = j
-                        status[j] = _BASIC
-                        pivot(r, j, [zero] * total)
-                        break
-        for k in range(n_art):
-            allowed[m + n + k] = False
-
-    z = [zero] * total
-    for j in range(total):
-        acc = c[j] if j < m else zero
-        for i in range(n):
-            v = basis[i]
-            cb = c[v] if v < m else zero
-            if cb and T[i][j]:
-                acc -= cb * T[i][j]
-        z[j] = acc
-    run_phase(z)
-    # refresh reduced costs from the final basis so duals are exact
-    zf = [zero] * total
-    for j in range(total):
-        acc = c[j] if j < m else zero
-        for i in range(n):
-            v = basis[i]
-            cb = c[v] if v < m else zero
-            if cb and T[i][j]:
-                acc -= cb * T[i][j]
-        zf[j] = acc
-
-    xb = compute_xb()
-    x = [zero] * m
-    for j in range(m):
-        if status[j] == _UPPER:
-            x[j] = ub[j]
-    for r in range(n):
-        v = basis[r]
-        if v < m:
-            x[v] = xb[r]
-    return {
-        "x": x,
-        "basis": tuple(basis),
-        "z": zf,
-        "status": status,
-        "n": n,
-        "m": m,
-    }
+    x = np.where(status[:m] == _UPPER, ub[:m], zero)
+    structural = basis < m
+    x[basis[structural]] = xb[structural]
+    return x, tuple(int(v) for v in basis), z, status
 
 
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
-
-
-def _structural_upper(prob: LpProblem, arithmetic: str):
-    if arithmetic == "float":
-        return np.full(prob.m, 1.0) if prob.explicit_unit_bounds else np.full(
-            prob.m, np.inf
-        )
-    one = Fraction(1)
-    return [one] * prob.m if prob.explicit_unit_bounds else [None] * prob.m
-
-
-def _exact_data(prob: LpProblem):
-    A = [[Fraction(v) for v in row] for row in prob.A.tolist()]
-    b = [Fraction(v) for v in prob.b.tolist()]
-    c = [Fraction(v) for v in prob.objective.tolist()]
-    return A, b, c
 
 
 def _wants_dual_route(prob: LpProblem, route: str) -> bool:
@@ -472,88 +288,53 @@ def _wants_dual_route(prob: LpProblem, route: str) -> bool:
 
 
 def solve_primal(
-    prob: LpProblem,
-    arithmetic: str = "float",
-    perturbation_seed: Optional[int] = None,
-    route: str = "auto",
-    dump_tableau: bool = False,
+    prob: LpProblem, arithmetic: str = "float", route: str = "auto"
 ) -> LpSolution:
-    """Solve to an optimal basic feasible solution.
-
-    Deterministic for fixed inputs.  ``perturbation_seed`` (float mode only)
-    adds deterministic noise of size 1e-7 to the objective before pivoting to
-    explore alternative optimal vertices; the reported value and duals are
-    always taken against the unperturbed objective.
-    """
-    sol, _ = _solve_pair(prob, arithmetic, perturbation_seed, route, dump_tableau)
+    """Solve to an optimal basic feasible solution; deterministic for fixed inputs."""
+    sol, _ = _solve_pair(prob, arithmetic, route)
     return sol
 
 
 def solve_dual(prob: LpProblem, arithmetic: str = "float") -> DualSolution:
     """Row duals extracted from the optimal basis of the primal solve."""
-    _, dual = _solve_pair(prob, arithmetic, None, "auto", False)
+    _, dual = _solve_pair(prob, arithmetic, "auto")
     return dual
 
 
-def _solve_pair(prob, arithmetic, perturbation_seed, route, dump_tableau):
-    if arithmetic not in ("float", "rational"):
-        raise StructureError(f"unknown arithmetic {arithmetic!r}")
+def _solve_pair(prob, arithmetic, route):
+    ar = _arithmetic(arithmetic)
     if _wants_dual_route(prob, route):
-        return _solve_via_covering(prob, arithmetic)
-    if arithmetic == "float":
-        c_eff = prob.objective
-        if perturbation_seed is not None:
-            rng = np.random.default_rng(perturbation_seed)
-            c_eff = prob.objective + 1e-7 * rng.random(prob.m)
-        res = _solve_float(prob.A, prob.b, c_eff, _structural_upper(prob, "float"))
-        if perturbation_seed is not None:
-            # re-derive reduced costs for the original objective at this basis
-            c2 = np.zeros(len(res["z"]))
-            c2[: prob.m] = prob.objective
-            res["z"] = c2 - c2[list(res["basis"])] @ res["T"]
-        x = res["x"]
-        value = float(prob.objective @ x)
-        y = np.maximum(-res["z"][prob.m : prob.m + prob.n], 0.0)
-        bound = None
-        if prob.explicit_unit_bounds:
-            bound = np.where(
-                np.asarray(res["status"][: prob.m]) == _UPPER,
-                np.maximum(res["z"][: prob.m], 0.0),
-                0.0,
-            )
-        dval = float(y @ prob.b + (bound.sum() if bound is not None else 0.0))
-        dump = _format_tableau(res) if dump_tableau else None
-    else:
-        if perturbation_seed is not None:
-            raise StructureError("perturbation is a float-mode feature")
-        A, b, c = _exact_data(prob)
-        res = _solve_exact(A, b, c, _structural_upper(prob, "rational"))
-        x = res["x"]
-        value = sum(ci * xi for ci, xi in zip(c, x)) if x else Fraction(0)
-        y = [max(-res["z"][prob.m + i], Fraction(0)) for i in range(prob.n)]
-        bound = None
-        if prob.explicit_unit_bounds:
-            bound = [
-                max(res["z"][j], Fraction(0))
-                if res["status"][j] == _UPPER
-                else Fraction(0)
-                for j in range(prob.m)
-            ]
-        dval = sum(yi * bi for yi, bi in zip(y, b))
-        if bound is not None:
-            dval += sum(bound)
-        dump = None
+        return _solve_via_covering(prob, ar)
+    m, n = prob.m, prob.n
+    x, basis, z, status = _simplex(
+        _typed(prob.A, ar),
+        _typed(prob.b, ar),
+        _typed(prob.objective, ar),
+        prob.explicit_unit_bounds,
+        ar,
+    )
+    y = np.maximum(-z[m : m + n], ar.zero)
+    bound = None
+    if prob.explicit_unit_bounds:
+        bound = np.where(status[:m] == _UPPER, np.maximum(z[:m], ar.zero), ar.zero)
+    return _pair(prob, ar, x, basis, y, bound)
+
+
+def _pair(prob, ar, x, basis, y, bound):
+    """The primal and dual answers for ``prob`` in the backend's scalars."""
+    value = ar.scalar(_typed(prob.objective, ar) @ x)
+    bound_total = bound.sum() if bound is not None else ar.zero
+    dval = ar.scalar(y @ _typed(prob.b, ar) + bound_total)
     sol = LpSolution(
         x=x,
         value=value,
-        basis=res["basis"],
+        basis=basis,
         is_vertex=True,
-        arithmetic=arithmetic,
+        arithmetic=ar.name,
         problem=prob,
-        tableau_dump=dump,
     )
     dual = DualSolution(
-        y=y, bound_duals=bound, value=dval, arithmetic=arithmetic, problem=prob
+        y=y, bound_duals=bound, value=dval, arithmetic=ar.name, problem=prob
     )
     return sol, dual
 
@@ -571,52 +352,22 @@ def _covering_data(prob: LpProblem):
     return Ac, bc, cc
 
 
-def _solve_via_covering(prob: LpProblem, arithmetic: str):
+def _solve_via_covering(prob: LpProblem, ar: _Arithmetic):
     """Solve the covering dual and recover the primal vertex from its duals."""
     Ac, bc, cc = _covering_data(prob)
     n, m = prob.n, prob.m
     nvars = Ac.shape[1]
-    if arithmetic == "float":
-        res = _solve_float(Ac, bc, cc, np.full(nvars, np.inf))
-        yz = res["x"]
-        x = np.maximum(-res["z"][nvars : nvars + m], 0.0)
-        y = yz[:n]
-        bound = yz[n:] if prob.explicit_unit_bounds else None
-        value = float(prob.objective @ x)
-        dval = float(y @ prob.b + (bound.sum() if bound is not None else 0.0))
-    else:
-        A = [[Fraction(v) for v in row] for row in Ac.tolist()]
-        b = [Fraction(v) for v in bc.tolist()]
-        c = [Fraction(v) for v in cc.tolist()]
-        res = _solve_exact(A, b, c, [None] * nvars)
-        yz = res["x"]
-        x = [max(-res["z"][nvars + j], Fraction(0)) for j in range(m)]
-        y = yz[:n]
-        bound = yz[n:] if prob.explicit_unit_bounds else None
-        cobj = [Fraction(v) for v in prob.objective.tolist()]
-        value = sum(ci * xi for ci, xi in zip(cobj, x))
-        dval = sum(
-            yi * Fraction(bi) for yi, bi in zip(y, prob.b.tolist())
-        )
-        if bound is not None:
-            dval += sum(bound)
-    sol = LpSolution(
-        x=x,
-        value=value,
-        basis=res["basis"],
-        is_vertex=True,
-        arithmetic=arithmetic,
-        problem=prob,
+    yz, basis, z, _ = _simplex(
+        _typed(Ac, ar), _typed(bc, ar), _typed(cc, ar), False, ar
     )
-    dual = DualSolution(
-        y=y, bound_duals=bound, value=dval, arithmetic=arithmetic, problem=prob
-    )
-    return sol, dual
+    x = np.maximum(-z[nvars : nvars + m], ar.zero)
+    bound = yz[n:] if prob.explicit_unit_bounds else None
+    return _pair(prob, ar, x, basis, yz[:n], bound)
 
 
 def solve_dual_explicit(prob: LpProblem, arithmetic: str = "float") -> DualSolution:
     """Independently solve min{y.b (+ z.1) : y.A (+ z) >= c} as a cross-check."""
-    _, dual = _solve_via_covering(prob, arithmetic)
+    _, dual = _solve_via_covering(prob, _arithmetic(arithmetic))
     return dual
 
 
@@ -720,13 +471,3 @@ def _same_problem(p1, p2) -> bool:
         and np.array_equal(p1.objective, p2.objective)
     )
 
-
-def _format_tableau(res) -> str:
-    """Plain-text dump of the final tableau for debugging."""
-    T, rhs, basis = res["T"], res["rhs"], res["basis"]
-    lines = ["basis | " + " ".join(f"v{j:<3d}" for j in range(T.shape[1])) + " | rhs"]
-    for i in range(T.shape[0]):
-        row = " ".join(f"{v:5.2f}" for v in T[i])
-        lines.append(f"v{basis[i]:<4d} | {row} | {rhs[i]:7.3f}")
-    lines.append("z     | " + " ".join(f"{v:5.2f}" for v in res["z"]))
-    return "\n".join(lines)

@@ -127,18 +127,25 @@ def matroid_from_meta(meta) -> Matroid:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise StructureError("matroid metadata missing or malformed")
     kind = desc["kind"]
-    if kind == "uniform":
-        return UniformMatroid(r=int(desc["rank"]), m=int(desc["m"]))
-    if kind == "partition":
-        return PartitionMatroid(
-            blocks=tuple(tuple(blk) for blk in desc["blocks"]),
-            capacities=tuple(desc["capacities"]),
-        )
-    if kind == "graphic":
-        return GraphicMatroid(
-            n_vertices=int(desc["n_vertices"]),
-            edges=tuple(tuple(e) for e in desc["edges"]),
-        )
+    try:
+        if kind == "uniform":
+            return UniformMatroid(r=int(desc["rank"]), m=int(desc["m"]))
+        if kind == "partition":
+            return PartitionMatroid(
+                blocks=tuple(tuple(blk) for blk in desc["blocks"]),
+                capacities=tuple(desc["capacities"]),
+            )
+        if kind == "graphic":
+            return GraphicMatroid(
+                n_vertices=int(desc["n_vertices"]),
+                edges=tuple(tuple(e) for e in desc["edges"]),
+            )
+    except StructureError:
+        raise
+    except KeyError as exc:
+        raise StructureError(f"{kind} matroid metadata needs {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"malformed {kind} matroid metadata: {exc}") from exc
     raise StructureError(f"unknown matroid kind {kind!r}")
 
 

@@ -32,9 +32,10 @@ from .strategies import (
     RunResult,
     RunTrace,
     StrategyConfig,
+    _round_pessimistic,
+    _run_result,
+    _run_rounds,
     iteration_bound,
-    run_adaptive,
-    run_nonadaptive,
 )
 
 SPARSIFIABLE_FAMILIES = ("bipartite-matching", "nonbipartite-matching", "k-hypergraph")
@@ -335,24 +336,9 @@ def speedup_run(
         "num_colors": coloring.num_colors,
         "alpha": adapter.alpha,
     }
-    real_c = oracle.hidden_realization.c
-    omn_lp = float(adapter.solve_relaxation(real_c).value)
-    omn_ip = int(adapter.omniscient_ip(real_c))
+    x_hat = np.zeros(inst.m, dtype=np.int64)
     if sparsified.induced is None:
-        x_hat = np.zeros(inst.m, dtype=np.int64)
-        return RunResult(
-            x_hat=x_hat,
-            value=0,
-            pessimistic_lp_value=0.0,
-            omniscient_lp_value=omn_lp,
-            omniscient_ip_value=omn_ip,
-            ratio_vs_omniscient_lp=1.0 if omn_lp <= 1e-12 else 0.0,
-            ratio_vs_omniscient_ip=1.0 if omn_ip <= 0 else 0.0,
-            queries_total=oracle.total_queries,
-            queries_per_row=oracle.row_counts(),
-            trace=RunTrace(mode=mode),
-            notes=notes,
-        )
+        return _run_result(oracle, adapter, x_hat, 0.0, RunTrace(mode=mode), notes)
     induced = sparsified.induced
     ids = np.asarray(sparsified.surviving, dtype=np.int64)
     sub_obj = StochasticObjective(
@@ -373,27 +359,13 @@ def speedup_run(
         strategy_seed=strategy_seed,
         derandomize_integral=derandomize_integral,
     )
-    runner = run_adaptive if mode == "adaptive" else run_nonadaptive
-    sub_result = runner(induced, sub_obj, view, sub_adapter, config)
-    x_hat = np.zeros(inst.m, dtype=np.int64)
-    x_hat[ids] = np.asarray(sub_result.x_hat, dtype=np.int64)
+    trace = _run_rounds(induced, sub_obj, view, sub_adapter, config, None)
+    x_sub, pess_lp, _ = _round_pessimistic(induced, sub_obj, view, sub_adapter)
+    x_hat[ids] = np.asarray(x_sub, dtype=np.int64)
     if np.any(inst.A @ x_hat > inst.b):
         raise StructureError("sparsified solution violates the original system")
-    value = int(real_c @ x_hat)
     notes["iterations"] = T
-    return RunResult(
-        x_hat=x_hat,
-        value=value,
-        pessimistic_lp_value=sub_result.pessimistic_lp_value,
-        omniscient_lp_value=omn_lp,
-        omniscient_ip_value=omn_ip,
-        ratio_vs_omniscient_lp=1.0 if omn_lp <= 1e-12 else value / omn_lp,
-        ratio_vs_omniscient_ip=1.0 if omn_ip <= 0 else value / omn_ip,
-        queries_total=oracle.total_queries,
-        queries_per_row=oracle.row_counts(),
-        trace=sub_result.trace,
-        notes=notes,
-    )
+    return _run_result(oracle, adapter, x_hat, pess_lp, trace, notes)
 
 
 def _induced_adapter(induced: PackingInstance) -> ProblemAdapter:

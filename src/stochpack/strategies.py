@@ -182,38 +182,124 @@ def _is_integral(x: np.ndarray) -> bool:
 def _check_run_inputs(inst, obj, oracle, adapter):
     if obj.m != inst.m:
         raise StructureError("objective does not match the instance")
-    if oracle.instance is not inst and oracle.instance.m != inst.m:
-        raise StructureError("oracle is bound to a different instance")
-    if adapter.instance is not inst and adapter.instance.m != inst.m:
-        raise StructureError("adapter is bound to a different instance")
+    for name, bound in (("oracle", oracle.instance), ("adapter", adapter.instance)):
+        if bound is not inst and not (
+            np.array_equal(bound.A, inst.A) and np.array_equal(bound.b, inst.b)
+        ):
+            raise StructureError(f"{name} is bound to a different instance")
 
 
-def _finish_run(inst, obj, oracle, adapter, trace, notes=None) -> RunResult:
+def _run_rounds(inst, obj, oracle, adapter, config, hook) -> RunTrace:
+    """The round loop of both strategies; ``config.mode`` picks what a pick does.
+
+    Every round solves the optimistic relaxation and picks items by coin
+    (or, with ``derandomize_integral``, the support of an integral solution).
+    The adaptive mode queries its picks at once.  The non-adaptive mode
+    instead supposes them at their pessimistic value for the later rounds,
+    then queries the whole supposed set after round T.
+    """
+    _check_run_inputs(inst, obj, oracle, adapter)
+    adaptive = config.mode == "adaptive"
+    rng = np.random.default_rng(config.strategy_seed)
+    scale = max(adapter.scale_w, 1.0)
+    supposed = np.zeros(inst.m, dtype=bool)
+    trace = RunTrace(mode=config.mode)
+    if hook:
+        hook(0, pessimistic_vector(oracle, obj))
+    for t in range(1, config.T + 1):
+        c_eff = optimistic_vector(oracle, obj)
+        if not adaptive:
+            c_eff = np.where(supposed & ~oracle.revealed_mask(), obj.c_minus, c_eff)
+        sol = adapter.solve_relaxation(c_eff)
+        x = _relaxation_x(sol, inst.m)
+        if config.derandomize_integral and _is_integral(x):
+            picked = x > 0.5
+        else:
+            picked = rng.random(inst.m) < x / scale
+        if adaptive:
+            selected = np.nonzero(picked)[0]
+            for j in selected:
+                oracle.query(int(j))
+        else:
+            selected = np.nonzero(picked & ~supposed)[0]
+            supposed[selected] = True
+        pess = pessimistic_vector(oracle, obj)
+        pess_value = (
+            float(adapter.solve_relaxation(pess).value)
+            if config.trace_pessimistic
+            else None
+        )
+        trace.records.append(
+            IterationRecord(
+                t=t,
+                optimistic_value=float(sol.value),
+                pessimistic_value=pess_value,
+                selected=tuple(int(j) for j in selected),
+                cumulative_queries=oracle.total_queries,
+            )
+        )
+        if hook:
+            hook(t, pess)
+    if not adaptive:
+        trace.mu_prime = trace.records[-1].optimistic_value
+        for j in np.nonzero(supposed)[0]:
+            oracle.query(int(j))
+        if hook:
+            hook(config.T + 1, pessimistic_vector(oracle, obj))
+    return trace
+
+
+def _round_pessimistic(inst, obj, oracle, adapter):
+    """Round and relax the pessimistic problem: ``(x_hat, LP value, omniscient)``.
+
+    When the pessimistic vector equals the realization, the omniscient
+    problem is the same one, and ``omniscient`` holds its (LP, IP) values so
+    that they are not solved again; otherwise it is None.
+    """
     cunder = pessimistic_vector(oracle, obj)
     rounded = adapter.round_integral(cunder)
-    x_hat = rounded.x
-    if np.any(inst.A @ x_hat > inst.b):
+    if np.any(inst.A @ rounded.x > inst.b):
         raise StructureError("adapter returned an infeasible integral solution")
+    pess_lp = float(adapter.solve_relaxation(cunder).value)
+    omniscient = None
+    if np.array_equal(cunder, oracle.hidden_realization.c):
+        omniscient = (pess_lp, int(rounded.value))
+    return rounded.x, pess_lp, omniscient
+
+
+def _run_result(
+    oracle, adapter, x_hat, pess_lp, trace, notes, omniscient=None
+) -> RunResult:
+    """Score ``x_hat`` against the omniscient optima of the realization.
+
+    ``omniscient`` is the (LP, IP) pair when it is already known.
+    """
     real_c = oracle.hidden_realization.c
     value = int(real_c @ x_hat)
-    pess_lp = float(adapter.solve_relaxation(cunder).value)
-    omn_lp = float(adapter.solve_relaxation(real_c).value)
-    omn_ip = int(adapter.omniscient_ip(real_c))
-    ratio_lp = 1.0 if omn_lp <= 1e-12 else value / omn_lp
-    ratio_ip = 1.0 if omn_ip <= 0 else value / omn_ip
+    if omniscient is None:
+        omniscient = (
+            float(adapter.solve_relaxation(real_c).value),
+            int(adapter.omniscient_ip(real_c)),
+        )
+    omn_lp, omn_ip = omniscient
     return RunResult(
         x_hat=x_hat,
         value=value,
         pessimistic_lp_value=pess_lp,
         omniscient_lp_value=omn_lp,
         omniscient_ip_value=omn_ip,
-        ratio_vs_omniscient_lp=ratio_lp,
-        ratio_vs_omniscient_ip=ratio_ip,
+        ratio_vs_omniscient_lp=1.0 if omn_lp <= 1e-12 else value / omn_lp,
+        ratio_vs_omniscient_ip=1.0 if omn_ip <= 0 else value / omn_ip,
         queries_total=oracle.total_queries,
         queries_per_row=oracle.row_counts(),
         trace=trace,
-        notes=notes or {},
+        notes=notes,
     )
+
+
+def _finish_run(inst, obj, oracle, adapter, trace) -> RunResult:
+    x_hat, pess_lp, omniscient = _round_pessimistic(inst, obj, oracle, adapter)
+    return _run_result(oracle, adapter, x_hat, pess_lp, trace, {}, omniscient)
 
 
 def run_adaptive(
@@ -233,39 +319,7 @@ def run_adaptive(
     """
     if config.mode != "adaptive":
         raise StructureError("config.mode must be 'adaptive'")
-    _check_run_inputs(inst, obj, oracle, adapter)
-    rng = np.random.default_rng(config.strategy_seed)
-    scale = max(adapter.scale_w, 1.0)
-    trace = RunTrace(mode="adaptive")
-    if hook:
-        hook(0, pessimistic_vector(oracle, obj))
-    for t in range(1, config.T + 1):
-        cbar = optimistic_vector(oracle, obj)
-        sol = adapter.solve_relaxation(cbar)
-        x = _relaxation_x(sol, inst.m)
-        if config.derandomize_integral and _is_integral(x):
-            selected = np.nonzero(x > 0.5)[0]
-        else:
-            selected = np.nonzero(rng.random(inst.m) < x / scale)[0]
-        for j in selected:
-            oracle.query(int(j))
-        pess = pessimistic_vector(oracle, obj)
-        pess_value = (
-            float(adapter.solve_relaxation(pess).value)
-            if config.trace_pessimistic
-            else None
-        )
-        trace.records.append(
-            IterationRecord(
-                t=t,
-                optimistic_value=float(sol.value),
-                pessimistic_value=pess_value,
-                selected=tuple(int(j) for j in selected),
-                cumulative_queries=oracle.total_queries,
-            )
-        )
-        if hook:
-            hook(t, pess)
+    trace = _run_rounds(inst, obj, oracle, adapter, config, hook)
     return _finish_run(inst, obj, oracle, adapter, trace)
 
 
@@ -285,46 +339,11 @@ def run_nonadaptive(
     """
     if config.mode != "nonadaptive":
         raise StructureError("config.mode must be 'nonadaptive'")
-    _check_run_inputs(inst, obj, oracle, adapter)
-    rng = np.random.default_rng(config.strategy_seed)
-    scale = max(adapter.scale_w, 1.0)
-    supposed = np.zeros(inst.m, dtype=bool)
-    trace = RunTrace(mode="nonadaptive")
-    if hook:
-        hook(0, pessimistic_vector(oracle, obj))
-    for t in range(1, config.T + 1):
-        c_eff = optimistic_vector(oracle, obj)
-        c_eff = np.where(supposed & ~oracle.revealed_mask(), obj.c_minus, c_eff)
-        sol = adapter.solve_relaxation(c_eff)
-        x = _relaxation_x(sol, inst.m)
-        if config.derandomize_integral and _is_integral(x):
-            newly = (x > 0.5) & ~supposed
-        else:
-            newly = (rng.random(inst.m) < x / scale) & ~supposed
-        supposed |= newly
-        pess = pessimistic_vector(oracle, obj)
-        pess_value = (
-            float(adapter.solve_relaxation(pess).value)
-            if config.trace_pessimistic
-            else None
-        )
-        trace.records.append(
-            IterationRecord(
-                t=t,
-                optimistic_value=float(sol.value),
-                pessimistic_value=pess_value,
-                selected=tuple(int(j) for j in np.nonzero(newly)[0]),
-                cumulative_queries=oracle.total_queries,
-            )
-        )
-        if hook:
-            hook(t, pess)
-    trace.mu_prime = trace.records[-1].optimistic_value
-    for j in np.nonzero(supposed)[0]:
-        oracle.query(int(j))
-    if hook:
-        hook(config.T + 1, pessimistic_vector(oracle, obj))
+    trace = _run_rounds(inst, obj, oracle, adapter, config, hook)
     return _finish_run(inst, obj, oracle, adapter, trace)
+
+
+BASELINE_KINDS = ("omniscient", "blind", "uniform_random")
 
 
 def run_baseline(

@@ -24,7 +24,6 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,29 +129,6 @@ def enumerate_tdi_cover(b, mu, epsilon) -> WitnessCover:
     )
 
 
-def enumerate_tdi_cover_iterative(b, mu, epsilon) -> WitnessCover:
-    """Independent second route: per-row ranges, then filter by the cap."""
-    bt = _check_b(b)
-    mu_f, eps_f = _frac(mu), _frac(epsilon)
-    if len(bt) > TDI_ROW_LIMIT or mu_f > TDI_MU_LIMIT:
-        raise SizeRefusalError("integer cover enumeration size guard")
-    cap = (1 - eps_f) * mu_f
-    vectors = []
-    if cap >= 0:
-        ranges = [range(int(cap // bi) + 1) for bi in bt]
-        for combo in product(*ranges):
-            if sum(v * bi for v, bi in zip(combo, bt)) <= cap:
-                vectors.append(tuple(Fraction(v) for v in combo))
-    return WitnessCover(
-        vectors=tuple(vectors),
-        b=bt,
-        mu=mu_f,
-        epsilon=eps_f,
-        epsilon_prime=eps_f,
-        kind="tdi-integer",
-    )
-
-
 def tdi_cover_size_bound(n: int, mu, constant: float = 3.0) -> float:
     """exp(constant * mu * log(1 + n/mu)); a plotting companion, not a gate."""
     mu_f = float(mu)
@@ -203,37 +179,6 @@ def enumerate_sparse_cover(b, mu, epsilon, gamma) -> WitnessCover:
 
     if max_tokens >= 0:
         walk(0, max_tokens, max_support, [])
-    return WitnessCover(
-        vectors=tuple(vectors),
-        b=bt,
-        mu=mu_f,
-        epsilon=eps_f,
-        epsilon_prime=eps_f / 2,
-        kind="sparse-grid",
-    )
-
-
-def enumerate_sparse_cover_iterative(b, mu, epsilon, gamma) -> WitnessCover:
-    """Independent double-loop route: full per-row grid product, filtered."""
-    bt = _check_b(b)
-    mu_f, eps_f, gamma_f = _frac(mu), _frac(epsilon), _frac(gamma)
-    n = len(bt)
-    cap = (1 - eps_f / 2) * mu_f
-    token_value = eps_f / (2 * gamma_f)
-    max_tokens = int(cap // token_value) if cap >= 0 else -1
-    max_support = int(gamma_f * mu_f)
-    if n > SPARSE_ROW_LIMIT or (max_tokens + 2) ** n > SPARSE_GRID_LIMIT:
-        raise SizeRefusalError("sparse cover grid too large to enumerate")
-    steps = [sparse_grid_step(bi, eps_f, gamma_f) for bi in bt]
-    vectors = []
-    for combo in product(range(max_tokens + 1), repeat=n):
-        if sum(combo) > max_tokens:
-            continue
-        if sum(1 for k in combo if k) > max_support:
-            continue
-        y = tuple(k * steps[i] for i, k in enumerate(combo))
-        if sum(yi * bi for yi, bi in zip(y, bt)) <= cap:
-            vectors.append(y)
     return WitnessCover(
         vectors=tuple(vectors),
         b=bt,

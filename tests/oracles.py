@@ -6,9 +6,19 @@ package internals.  Only usable at tiny sizes.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
+
+from stochpack.errors import SizeRefusalError
+from stochpack.witness import (
+    SPARSE_GRID_LIMIT,
+    SPARSE_ROW_LIMIT,
+    TDI_MU_LIMIT,
+    TDI_ROW_LIMIT,
+    WitnessCover,
+    sparse_grid_step,
+)
 
 
 def matching_value_by_enumeration(edges, weights):
@@ -134,3 +144,57 @@ def count_vectors_under_cap(n, cap):
     import math
 
     return math.comb(n + cap, cap)
+
+
+def enumerate_tdi_cover_iterative(b, mu, epsilon) -> WitnessCover:
+    """Second route to ``enumerate_tdi_cover``: per-row ranges, then the cap."""
+    bt = tuple(int(v) for v in b)
+    mu_f, eps_f = Fraction(mu), Fraction(epsilon)
+    if len(bt) > TDI_ROW_LIMIT or mu_f > TDI_MU_LIMIT:
+        raise SizeRefusalError("integer cover enumeration size guard")
+    cap = (1 - eps_f) * mu_f
+    vectors = []
+    if cap >= 0:
+        ranges = [range(int(cap // bi) + 1) for bi in bt]
+        for combo in product(*ranges):
+            if sum(v * bi for v, bi in zip(combo, bt)) <= cap:
+                vectors.append(tuple(Fraction(v) for v in combo))
+    return WitnessCover(
+        vectors=tuple(vectors),
+        b=bt,
+        mu=mu_f,
+        epsilon=eps_f,
+        epsilon_prime=eps_f,
+        kind="tdi-integer",
+    )
+
+
+def enumerate_sparse_cover_iterative(b, mu, epsilon, gamma) -> WitnessCover:
+    """Second route to ``enumerate_sparse_cover``: full grid product, filtered."""
+    bt = tuple(int(v) for v in b)
+    mu_f, eps_f, gamma_f = Fraction(mu), Fraction(epsilon), Fraction(gamma)
+    n = len(bt)
+    cap = (1 - eps_f / 2) * mu_f
+    token_value = eps_f / (2 * gamma_f)
+    max_tokens = int(cap // token_value) if cap >= 0 else -1
+    max_support = int(gamma_f * mu_f)
+    if n > SPARSE_ROW_LIMIT or (max_tokens + 2) ** n > SPARSE_GRID_LIMIT:
+        raise SizeRefusalError("sparse cover grid too large to enumerate")
+    steps = [sparse_grid_step(bi, eps_f, gamma_f) for bi in bt]
+    vectors = []
+    for combo in product(range(max_tokens + 1), repeat=n):
+        if sum(combo) > max_tokens:
+            continue
+        if sum(1 for k in combo if k) > max_support:
+            continue
+        y = tuple(k * steps[i] for i, k in enumerate(combo))
+        if sum(yi * bi for yi, bi in zip(y, bt)) <= cap:
+            vectors.append(y)
+    return WitnessCover(
+        vectors=tuple(vectors),
+        b=bt,
+        mu=mu_f,
+        epsilon=eps_f,
+        epsilon_prime=eps_f / 2,
+        kind="sparse-grid",
+    )

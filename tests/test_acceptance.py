@@ -13,7 +13,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import count_vectors_under_cap, matching_value_by_enumeration
+from oracles import (
+    count_vectors_under_cap,
+    enumerate_tdi_cover_iterative,
+    matching_value_by_enumeration,
+)
 from stochpack.adapters import adapter_for
 from stochpack.generators import (
     bipartite_instance,
@@ -40,7 +44,6 @@ from stochpack.strategies import (
 from stochpack.witness import (
     WitnessTracker,
     enumerate_tdi_cover,
-    enumerate_tdi_cover_iterative,
     run_attached_dynamics,
     run_resampled_dynamics,
     sample_integer_witnesses,

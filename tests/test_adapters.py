@@ -199,11 +199,20 @@ class TestMatroid:
 
     def test_bad_metadata_rejected(self):
         inst = gen_matroid("uniform", seed=0, m=3, r=2)
-        broken = type(inst)(
-            A=inst.A, b=inst.b, family="matroid", meta={"matroid": {"kind": "nope"}}
-        )
-        with pytest.raises(StructureError):
-            adapter_for(broken)
+        for desc in [
+            {"kind": "nope"},
+            {"kind": "uniform", "m": 3},
+            {"kind": "uniform", "rank": "two", "m": 3},
+            {"kind": "partition", "blocks": [[0, 1, 2]]},
+            {"kind": "partition", "blocks": 3, "capacities": [1]},
+            {"kind": "graphic", "edges": [[0, 1]]},
+            {"kind": "graphic", "n_vertices": 3, "edges": [[0]]},
+        ]:
+            broken = type(inst)(
+                A=inst.A, b=inst.b, family="matroid", meta={"matroid": desc}
+            )
+            with pytest.raises(StructureError):
+                adapter_for(broken)
 
 
 class TestGenericAndColumnSparse:
@@ -274,6 +283,15 @@ def test_degree_relaxation_adapter_contract():
     assert rounded.value == matching_value_by_enumeration(
         [tuple(e) for e in inst.meta["edges"]], list(w)
     )
+
+
+def test_degree_relaxation_adapter_checks_metadata(triangle):
+    for meta in ({"edges": triangle.meta["edges"]}, {"n_vertices": 3, "edges": []}):
+        broken = type(triangle)(
+            A=triangle.A, b=triangle.b, family=triangle.family, meta=meta
+        )
+        with pytest.raises(StructureError):
+            DegreeRelaxationAdapter(broken)
 
 
 def test_blossom_alpha_unaffected_by_row_count(triangle):

@@ -33,6 +33,19 @@ def test_structure_error_exit_code(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+def test_bad_baseline_exit_code(tmp_path):
+    spec = {
+        "instance": {"kind": "bipartite",
+                     "params": {"n_left": 2, "n_right": 2, "edge_prob": 1.0}},
+        "baselines": [{"T": 2}],
+        "trials": 1,
+        "master_seed": 0,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "-o", str(tmp_path / "rows.csv")]) == 2
+
+
 def test_size_refusal_exit_code(tmp_path):
     out = tmp_path / "inst.json"
     main(["gen", "bipartite", "--param", "n_left=2", "--param", "n_right=2",

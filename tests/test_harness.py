@@ -88,6 +88,15 @@ class TestSpecValidation:
         with pytest.raises(StructureError):
             validate_spec(spec2)
 
+    @pytest.mark.parametrize(
+        "baseline",
+        [{"T": 2}, {"kind": "psychic"}, "psychic", {"kind": "blind", "seed": 1},
+         {"kind": "uniform_random", "T": 0}],
+    )
+    def test_bad_baselines_rejected(self, baseline):
+        with pytest.raises(StructureError, match="baseline"):
+            validate_spec(small_spec(baselines=[baseline]))
+
     def test_file_instance_excludes_objective(self, tmp_path):
         spec = small_spec()
         spec["instance"] = {"file": "whatever.json"}
@@ -157,6 +166,27 @@ class TestRunExperiment:
         assert {"adaptive", "baseline:omniscient", "baseline:blind"} <= modes
         omn = [r for r in rows if r["mode"] == "baseline:omniscient"]
         assert all(int(r["success"]) == 1 for r in omn)
+
+    def test_bad_file_metadata_gives_error_rows(self, tmp_path):
+        import json
+
+        from stochpack.generators import gen_matroid
+        from stochpack.instances import StochasticObjective, save_instance
+
+        inst = gen_matroid("uniform", seed=0, m=5, r=2)
+        path = tmp_path / "uniform.json"
+        save_instance(
+            path, inst, StochasticObjective(c_minus=[0] * 5, c_plus=[1] * 5, p=0.5)
+        )
+        data = json.loads(path.read_text())
+        del data["meta"]["matroid"]["rank"]
+        path.write_text(json.dumps(data))
+        spec = small_spec(trials=2)
+        spec.pop("objective")
+        spec["instance"] = {"file": str(path)}
+        rows, _ = run_experiment(spec)
+        assert len(rows) == 2
+        assert all("StructureError" in row["error"] for row in rows)
 
     def test_file_instance_source(self, tmp_path, k22):
         from stochpack.instances import StochasticObjective, save_instance

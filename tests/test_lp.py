@@ -8,7 +8,7 @@ from oracles import (
     matching_value_by_enumeration,
 )
 from stochpack.errors import StructureError
-from stochpack.generators import gen_bipartite, gen_generic
+from stochpack.generators import gen_bipartite, gen_cspip, gen_generic
 from stochpack.lp import (
     FEAS_TOL,
     GAP_TOL,
@@ -20,6 +20,37 @@ from stochpack.lp import (
     solve_primal,
 )
 from stochpack.matching import max_weight_matching_bitmask
+
+
+def _random_problems(rng):
+    """Small LPs for the float/rational cross-check.
+
+    Generic systems with an implied unit box; k-column-sparse systems with
+    explicit unit bounds, so variables flip between their bounds; and both
+    with one extra covering row -x(S) <= -1, so phase 1 has to run.  Every
+    column fits on its own, so each problem is feasible.
+    """
+    for _ in range(15):
+        inst = gen_generic(
+            int(rng.integers(1, 5)), int(rng.integers(1, 5)),
+            seed=int(rng.integers(0, 10**6)),
+        )
+        yield LpProblem(inst.A, inst.b, rng.integers(0, 5, size=inst.m))
+    for explicit, covering in ((True, False), (True, True), (False, True)):
+        for _ in range(8):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            seed = int(rng.integers(0, 10**6))
+            if explicit:
+                inst = gen_cspip(n, m, int(rng.integers(1, n + 1)), seed=seed)
+            else:
+                inst = gen_generic(n, m, seed=seed)
+            A, b = inst.A, inst.b
+            if covering:
+                row = -(rng.random(m) < 0.5).astype(np.int64)
+                row[int(rng.integers(0, m))] = -1
+                A, b = np.vstack([A, row]), np.append(b, -1)
+            c = rng.integers(0, 5, size=m)
+            yield LpProblem(A, b, c, explicit_unit_bounds=explicit)
 
 
 def triangle_problem(weights=(1, 1, 1)):
@@ -53,18 +84,16 @@ class TestPrimal:
         assert sol.value == oracle_value
 
     def test_float_matches_rational_on_random_instances(self):
-        rng = np.random.default_rng(3)
-        for _ in range(15):
-            inst = gen_generic(
-                int(rng.integers(1, 5)), int(rng.integers(1, 5)),
-                seed=int(rng.integers(0, 10**6)),
-            )
-            c = rng.integers(0, 5, size=inst.m)
-            prob = LpProblem(inst.A, inst.b, c)
+        for prob in _random_problems(np.random.default_rng(3)):
             f = solve_primal(prob)
             r = solve_primal(prob, arithmetic="rational")
             assert f.value == pytest.approx(float(r.value), abs=1e-7)
-            assert r.value == lp_value_by_vertex_enumeration(inst.A, inst.b, c)
+            assert r.value == lp_value_by_vertex_enumeration(
+                prob.A.astype(np.int64), prob.b.astype(np.int64), prob.objective
+            )
+            for sol in (f, r):
+                rep = check_duality(sol, solve_dual(prob, arithmetic=sol.arithmetic))
+                assert rep.ok, rep
 
     def test_determinism_bit_identical(self):
         inst = gen_generic(6, 6, seed=12)
@@ -81,8 +110,17 @@ class TestPrimal:
             LpProblem(A=[[1]], b=[1], objective=[-1])
 
     def test_unbounded_detected(self):
-        with pytest.raises(StructureError, match="unbounded"):
-            solve_primal(LpProblem(A=[[0]], b=[1], objective=[1]))
+        prob = LpProblem(A=[[0]], b=[1], objective=[1])
+        for arithmetic in ("float", "rational"):
+            with pytest.raises(StructureError, match="unbounded"):
+                solve_primal(prob, arithmetic=arithmetic)
+
+    def test_infeasible_detected(self):
+        # x <= 1 and x >= 2
+        prob = LpProblem(A=[[1], [-1]], b=[1, -2], objective=[1])
+        for arithmetic in ("float", "rational"):
+            with pytest.raises(StructureError, match="infeasible"):
+                solve_primal(prob, arithmetic=arithmetic)
 
     def test_explicit_unit_bounds_bind(self):
         prob = LpProblem(A=[[1, 1]], b=[2], objective=[3, 2], explicit_unit_bounds=True)
@@ -92,20 +130,6 @@ class TestPrimal:
         dual = solve_dual(prob)
         rep = check_duality(sol, dual)
         assert rep.ok, rep
-
-    def test_perturbation_keeps_value_and_duals(self):
-        prob = triangle_problem((2, 2, 2))
-        base = solve_primal(prob)
-        for seed in range(3):
-            sol = solve_primal(prob, perturbation_seed=seed)
-            assert sol.value == pytest.approx(base.value, abs=1e-6)
-            rep = check_duality(sol, solve_dual(prob))
-            assert rep.ok
-
-    def test_tableau_dump(self):
-        prob = LpProblem(A=[[1, 1]], b=[1], objective=[1, 1])
-        sol = solve_primal(prob, dump_tableau=True)
-        assert sol.tableau_dump and "basis" in sol.tableau_dump
 
 
 class TestDual:

@@ -12,7 +12,12 @@ from stochpack.generators import (
     gen_bipartite,
     gen_objective,
 )
-from stochpack.instances import QueryOracle, StochasticObjective, sample_realization
+from stochpack.instances import (
+    QueryOracle,
+    Realization,
+    StochasticObjective,
+    sample_realization,
+)
 from stochpack.sparsify import (
     ColoringConfig,
     SubsetOracleView,
@@ -219,6 +224,23 @@ class TestSpeedup:
         assert result.trace.optimistic_values() == pytest.approx(
             plain.trace.optimistic_values()
         )
+
+    def test_no_surviving_edge_scores_zero(self):
+        # coloring seed 144 gives both endpoints of the only edge one color
+        inst = bipartite_instance(2, 2, [(0, 2)])
+        obj = StochasticObjective(c_minus=[1], c_plus=[2], p=0.5)
+        oracle = QueryOracle(inst, Realization(c=[2]))
+        result = speedup_run(
+            inst, obj, oracle, adapter_for(inst), epsilon=0.5, delta=0.5,
+            coloring_seed=144,
+        )
+        assert result.notes["sparsify_report"].edges_after == 0
+        assert result.value == 0 and result.x_hat.tolist() == [0]
+        assert result.pessimistic_lp_value == 0.0
+        assert result.omniscient_lp_value == pytest.approx(2.0)
+        assert result.omniscient_ip_value == 2
+        assert result.ratio_vs_omniscient_lp == result.ratio_vs_omniscient_ip == 0.0
+        assert result.queries_total == 0 and result.trace.records == []
 
     def test_small_bipartite_guarantee(self):
         hits = 0

@@ -120,6 +120,25 @@ class TestDegenerateRuns:
         assert result.value == 1
         assert result.pessimistic_lp_value == pytest.approx(1.0)
 
+    def test_inputs_bound_to_another_instance_rejected(self, k22):
+        # same item count as k22, different rows
+        other = bipartite_instance(2, 2, [(0, 2), (0, 3), (1, 3), (1, 2)])
+        other_rows = PackingInstance(A=other.A, b=other.b)
+        assert other_rows.m == k22.m
+        obj = StochasticObjective(c_minus=[0] * 4, c_plus=[1] * 4, p=0.5)
+        config = StrategyConfig(
+            mode="adaptive", T=1, epsilon=0.2, epsilon_prime=0.2, delta=0.2
+        )
+        real = Realization(c=[1] * 4)
+        with pytest.raises(StructureError, match="oracle"):
+            run_adaptive(
+                k22, obj, QueryOracle(other_rows, real), adapter_for(k22), config
+            )
+        with pytest.raises(StructureError, match="adapter"):
+            run_adaptive(
+                k22, obj, QueryOracle(k22, real), adapter_for(other), config
+            )
+
     def test_t_zero_rejected(self):
         with pytest.raises(StructureError):
             StrategyConfig(mode="nonadaptive", T=0, epsilon=0.2,

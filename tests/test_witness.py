@@ -4,7 +4,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import count_vectors_under_cap
+from oracles import (
+    count_vectors_under_cap,
+    enumerate_sparse_cover_iterative,
+    enumerate_tdi_cover_iterative,
+)
 from stochpack.adapters import adapter_for
 from stochpack.errors import SizeRefusalError, StructureError
 from stochpack.instances import QueryOracle, StochasticObjective, sample_realization
@@ -12,9 +16,7 @@ from stochpack.strategies import StrategyConfig, iteration_bound, run_adaptive
 from stochpack.witness import (
     WitnessTracker,
     enumerate_sparse_cover,
-    enumerate_sparse_cover_iterative,
     enumerate_tdi_cover,
-    enumerate_tdi_cover_iterative,
     grid_round_up,
     run_attached_dynamics,
     run_resampled_dynamics,
