@@ -1,7 +1,9 @@
 """Problem-family plug-ins: relaxation solving plus LP-relative rounding.
 
 Each adapter binds one instance at construction and is stateless afterwards,
-so adapters can be shared across concurrent trials.  ``alpha`` is the
+so adapters can be shared across concurrent trials.  ``solve_relaxation``
+takes an optional ``start``, an earlier answer of the same adapter, which the
+LP engine may resume from (see ``lp.solve_primal``); the caller keeps it.  ``alpha`` is the
 family's LP-relative guarantee: the rounded integral value is at least
 ``alpha`` times the relaxation optimum on every valid instance.  Rounding
 itself is exact at desk scale (it returns the true integral optimum), so the
@@ -62,7 +64,7 @@ class ProblemAdapter:
     def __init__(self, inst: PackingInstance):
         self.instance = inst
 
-    def solve_relaxation(self, weights) -> LpSolution:
+    def solve_relaxation(self, weights, start=None) -> LpSolution:
         raise NotImplementedError
 
     def round_integral(self, weights) -> RoundedSolution:
@@ -91,7 +93,7 @@ class ExplicitMatrixAdapter(ProblemAdapter):
         self._explicit = inst.family == "k-cspip"
         self.scale_w = inst.column_scale() if self._explicit else 1.0
 
-    def solve_relaxation(self, weights) -> LpSolution:
+    def solve_relaxation(self, weights, start=None) -> LpSolution:
         w = _check_weights(self.instance, weights)
         prob = LpProblem(
             self.instance.A,
@@ -99,7 +101,7 @@ class ExplicitMatrixAdapter(ProblemAdapter):
             w,
             explicit_unit_bounds=self._explicit,
         )
-        return solve_primal(prob)
+        return solve_primal(prob, start=start)
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)
@@ -122,10 +124,10 @@ class BipartiteMatchingAdapter(ProblemAdapter):
         if len(self.edges) != inst.m:
             raise StructureError("edge list does not match the item count")
 
-    def solve_relaxation(self, weights) -> LpSolution:
+    def solve_relaxation(self, weights, start=None) -> LpSolution:
         w = _check_weights(self.instance, weights)
         prob = LpProblem(self.instance.A, self.instance.b, w)
-        return solve_primal(prob)
+        return solve_primal(prob, start=start)
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)
@@ -164,10 +166,10 @@ class BlossomMatchingAdapter(ProblemAdapter):
             inst.A, inst.b, self.n_vertices, self.edges
         )
 
-    def solve_relaxation(self, weights) -> LpSolution:
+    def solve_relaxation(self, weights, start=None) -> LpSolution:
         w = _check_weights(self.instance, weights)
         prob = LpProblem(self._A_aug, self._b_aug, w)
-        return solve_primal(prob)
+        return solve_primal(prob, start=start)
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)
@@ -193,10 +195,10 @@ class HypergraphMatchingAdapter(ProblemAdapter):
             raise StructureError("hyperedges must have exactly k distinct vertices")
         self.alpha = 1.0 / (self.k - 1 + 1.0 / self.k)
 
-    def solve_relaxation(self, weights) -> LpSolution:
+    def solve_relaxation(self, weights, start=None) -> LpSolution:
         w = _check_weights(self.instance, weights)
         prob = LpProblem(self.instance.A, self.instance.b, w)
-        return solve_primal(prob)
+        return solve_primal(prob, start=start)
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)
@@ -207,7 +209,10 @@ class HypergraphMatchingAdapter(ProblemAdapter):
 
 
 class MatroidAdapter(ProblemAdapter):
-    """Greedy on an independence oracle; exact, and equal to the LP optimum."""
+    """Greedy on an independence oracle; exact, and equal to the LP optimum.
+
+    ``solve_relaxation`` accepts a ``start`` like the LP adapters and ignores it.
+    """
 
     family = "matroid"
     alpha = 1.0
@@ -218,7 +223,7 @@ class MatroidAdapter(ProblemAdapter):
         if self.matroid.m != inst.m:
             raise StructureError("matroid ground set does not match the item count")
 
-    def solve_relaxation(self, weights) -> LpSolution:
+    def solve_relaxation(self, weights, start=None) -> LpSolution:
         w = _check_weights(self.instance, weights)
         value, chosen = mat.greedy_max_weight(self.matroid, list(w))
         x = np.zeros(self.instance.m)
@@ -259,10 +264,10 @@ class DegreeRelaxationAdapter(ProblemAdapter):
         if len(self.edges) != inst.m:
             raise StructureError("edge list does not match the item count")
 
-    def solve_relaxation(self, weights) -> LpSolution:
+    def solve_relaxation(self, weights, start=None) -> LpSolution:
         w = _check_weights(self.instance, weights)
         prob = LpProblem(self.instance.A, self.instance.b, w)
-        return solve_primal(prob)
+        return solve_primal(prob, start=start)
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)

@@ -27,6 +27,7 @@ from .generators import gen_objective, generate
 from .instances import QueryOracle, load_instance, sample_realization
 from .strategies import (
     BASELINE_KINDS,
+    STRATEGY_MODES,
     StrategyConfig,
     default_iterations,
     run_adaptive,
@@ -105,6 +106,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _as_number(value, what: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise StructureError(f"{what} must be a number, got {value!r}") from None
+
+
 def validate_spec(spec: dict) -> dict:
     unknown = set(spec) - _SPEC_FIELDS
     if unknown:
@@ -121,24 +129,35 @@ def validate_spec(spec: dict) -> dict:
         raise StructureError("file instances carry their own objective")
     if "file" not in inst and "kind" not in inst:
         raise StructureError("instance needs either file or kind")
-    if int(spec["trials"]) < 1:
+    if _as_number(spec["trials"], "trials", int) < 1:
         raise StructureError("trials must be >= 1")
+    _as_number(spec["master_seed"], "master_seed", int)
     strategies = spec.get("strategies", [])
     baselines = spec.get("baselines", [])
     if not strategies and not baselines:
         raise StructureError("spec needs at least one strategy or baseline")
     for s in strategies:
+        if not isinstance(s, dict):
+            raise StructureError(f"a strategy must be an object, got {s!r}")
         unknown = set(s) - _STRATEGY_FIELDS
         if unknown:
             raise StructureError(f"unknown strategy fields: {sorted(unknown)}")
-        if s.get("T") is not None and int(s["T"]) < 1:
+        if s.get("mode") not in STRATEGY_MODES:
+            raise StructureError(
+                f"strategy mode must be one of {list(STRATEGY_MODES)},"
+                f" got {s.get('mode')!r}"
+            )
+        for key in ("epsilon", "epsilon_prime", "delta", "logm_constant"):
+            if key in s:
+                _as_number(s[key], f"strategy {key}")
+        if s.get("T") is not None and _as_number(s["T"], "strategy T", int) < 1:
             raise StructureError("strategy T override must be >= 1")
     for b in baselines:
         if isinstance(b, dict):
             unknown = set(b) - _BASELINE_FIELDS
             if unknown:
                 raise StructureError(f"unknown baseline fields: {sorted(unknown)}")
-            if int(b.get("T", 1)) < 1:
+            if _as_number(b.get("T", 1), "baseline T", int) < 1:
                 raise StructureError("baseline T must be >= 1")
             b = b.get("kind")
         if b not in BASELINE_KINDS:
@@ -146,7 +165,7 @@ def validate_spec(spec: dict) -> dict:
                 f"baseline kind must be one of {list(BASELINE_KINDS)}, got {b!r}"
             )
     for t in spec.get("t_grid", []):
-        if int(t) < 1:
+        if _as_number(t, "t_grid entry", int) < 1:
             raise StructureError("t_grid entries must be >= 1")
     obj = spec.get("objective", {})
     unknown = set(obj) - _OBJECTIVE_FIELDS

@@ -7,6 +7,14 @@ tolerances, ``rational`` on object arrays of ``fractions.Fraction`` with
 every tolerance zero, which is exact (arbitrary precision, so there is no
 overflow to degrade to).
 
+A float solve can resume phase 2 from the basis and bound status of an
+earlier answer on the same ``A``, ``b`` and bounds (``start=``), which is what
+the strategies do between rounds, where only the objective moves.  The
+tableau is then rebuilt from that basis with one dense solve, so no error
+carries over from one solve to the next; a start that does not fit (another
+polytope, a basic artificial, a singular or infeasible basis) is ignored and
+the solve runs cold.
+
 Row duals are read off the final basis (the reduced costs of the slack
 columns); an independent route that solves the explicit covering dual is
 provided as a cross-check.  Problems whose constraint count dwarfs the
@@ -78,12 +86,23 @@ class LpProblem:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
+    """An optimal vertex; ``status`` and ``basis`` let a later solve resume.
+
+    ``status`` holds the bound status of every tableau column of a
+    primal-route solve and is None otherwise.  ``pivots`` counts the pivots
+    and bound flips of the solve; ``warm`` tells whether it resumed from a
+    start rather than running both phases.
+    """
+
     x: Sequence
     value: object
     basis: tuple
     is_vertex: bool
     arithmetic: str
     problem: LpProblem
+    status: Optional[np.ndarray] = None
+    pivots: int = 0
+    warm: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +171,17 @@ def _typed(values, ar: _Arithmetic) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-def _simplex(A, b, c, unit_bounds: bool, ar: _Arithmetic):
+def _simplex(A, b, c, unit_bounds: bool, ar: _Arithmetic, start=None):
     """Two-phase bounded simplex with least-index pivoting.
 
     ``A``, ``b`` and ``c`` are arrays of the backend's type.  Every
     structural variable has an upper bound of one when ``unit_bounds`` is
-    true, and none otherwise.  Returns the structural solution, the basis,
-    the final reduced costs and the bound status of every column.
+    true, and none otherwise.  ``start`` is an optional ``(basis, status)``
+    pair from an earlier solve of the same ``A`` and ``b``; when it gives a
+    feasible basis without artificials, phase 1 is skipped and phase 2 runs
+    from there.  Returns the structural solution, the basis, the final
+    reduced costs, the bound status of every column, the pivot count and
+    whether the start was taken.
     """
     zero, one, tol = ar.zero, ar.one, ar.tol
     n, m = A.shape
@@ -241,7 +264,36 @@ def _simplex(A, b, c, unit_bounds: bool, ar: _Arithmetic):
     def reduced_costs(cost):
         return cost - cost[basis] @ T
 
-    if n_art:
+    def resume(basis0, status0):
+        """Rebuild the tableau as B^-1 [T | rhs] for ``basis0``, if it fits."""
+        if (
+            n == 0
+            or basis0.shape != (n,)
+            or status0.shape != (total,)
+            or basis0.min() < 0
+            or basis0.max() >= m + n
+            or np.any(status0[basis0] != _BASIC)
+            or np.count_nonzero(status0 == _BASIC) != n
+            or np.any((status0 == _UPPER) & ~bounded)
+        ):
+            return False
+        try:
+            full = np.linalg.solve(T[:, basis0], np.column_stack([T, rhs]))
+        except np.linalg.LinAlgError:
+            return False
+        up = np.nonzero(status0 == _UPPER)[0]
+        xb = full[:, -1] - full[:, up] @ ub[up]
+        cap = np.where(bounded[basis0], ub[basis0], np.inf)
+        if np.any(xb < -tol) or np.any(xb > cap + tol):
+            return False
+        T[...] = full[:, :-1]
+        rhs[...] = full[:, -1]
+        basis[...] = basis0
+        status[...] = status0
+        return True
+
+    warm = start is not None and resume(*start)
+    if n_art and not warm:
         c1 = np.full(total, zero, dtype=ar.dtype)
         c1[m + n :] = -one
         run_phase(reduced_costs(c1))
@@ -258,7 +310,7 @@ def _simplex(A, b, c, unit_bounds: bool, ar: _Arithmetic):
                 basis[r] = j
                 status[j] = _BASIC
                 pivot(r, j, np.full(total, zero, dtype=ar.dtype))
-        allowed[m + n :] = False
+    allowed[m + n :] = False
 
     c2 = np.full(total, zero, dtype=ar.dtype)
     c2[:m] = c
@@ -269,7 +321,7 @@ def _simplex(A, b, c, unit_bounds: bool, ar: _Arithmetic):
     x = np.where(status[:m] == _UPPER, ub[:m], zero)
     structural = basis < m
     x[basis[structural]] = xb[structural]
-    return x, tuple(int(v) for v in basis), z, status
+    return x, tuple(int(v) for v in basis), z, status, pivots, warm
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +340,18 @@ def _wants_dual_route(prob: LpProblem, route: str) -> bool:
 
 
 def solve_primal(
-    prob: LpProblem, arithmetic: str = "float", route: str = "auto"
+    prob: LpProblem,
+    arithmetic: str = "float",
+    route: str = "auto",
+    start: Optional[LpSolution] = None,
 ) -> LpSolution:
-    """Solve to an optimal basic feasible solution; deterministic for fixed inputs."""
-    sol, _ = _solve_pair(prob, arithmetic, route)
+    """Solve to an optimal basic feasible solution; deterministic for fixed inputs.
+
+    ``start`` is an earlier answer; a float primal-route solve resumes phase
+    2 from its basis when it solved the same ``A``, ``b`` and bounds (see the
+    module docstring).  The rational backend and the covering route ignore it.
+    """
+    sol, _ = _solve_pair(prob, arithmetic, route, start)
     return sol
 
 
@@ -301,26 +361,37 @@ def solve_dual(prob: LpProblem, arithmetic: str = "float") -> DualSolution:
     return dual
 
 
-def _solve_pair(prob, arithmetic, route):
+def _resume_state(prob: LpProblem, start: Optional[LpSolution]):
+    """The (basis, status) of ``start`` when it solved the polytope of ``prob``."""
+    if start is None or start.status is None or start.problem is None:
+        return None
+    if not _same_polytope(start.problem, prob):
+        return None
+    return np.asarray(start.basis, dtype=np.int64), start.status
+
+
+def _solve_pair(prob, arithmetic, route, start=None):
     ar = _arithmetic(arithmetic)
     if _wants_dual_route(prob, route):
         return _solve_via_covering(prob, ar)
     m, n = prob.m, prob.n
-    x, basis, z, status = _simplex(
+    x, basis, z, status, pivots, warm = _simplex(
         _typed(prob.A, ar),
         _typed(prob.b, ar),
         _typed(prob.objective, ar),
         prob.explicit_unit_bounds,
         ar,
+        _resume_state(prob, start) if ar is _FLOAT else None,
     )
     y = np.maximum(-z[m : m + n], ar.zero)
     bound = None
     if prob.explicit_unit_bounds:
         bound = np.where(status[:m] == _UPPER, np.maximum(z[:m], ar.zero), ar.zero)
-    return _pair(prob, ar, x, basis, y, bound)
+    status.setflags(write=False)
+    return _pair(prob, ar, x, basis, y, bound, status, pivots, warm)
 
 
-def _pair(prob, ar, x, basis, y, bound):
+def _pair(prob, ar, x, basis, y, bound, status, pivots, warm):
     """The primal and dual answers for ``prob`` in the backend's scalars."""
     value = ar.scalar(_typed(prob.objective, ar) @ x)
     bound_total = bound.sum() if bound is not None else ar.zero
@@ -332,6 +403,9 @@ def _pair(prob, ar, x, basis, y, bound):
         is_vertex=True,
         arithmetic=ar.name,
         problem=prob,
+        status=status,
+        pivots=pivots,
+        warm=warm,
     )
     dual = DualSolution(
         y=y, bound_duals=bound, value=dval, arithmetic=ar.name, problem=prob
@@ -357,12 +431,12 @@ def _solve_via_covering(prob: LpProblem, ar: _Arithmetic):
     Ac, bc, cc = _covering_data(prob)
     n, m = prob.n, prob.m
     nvars = Ac.shape[1]
-    yz, basis, z, _ = _simplex(
+    yz, basis, z, _, pivots, _ = _simplex(
         _typed(Ac, ar), _typed(bc, ar), _typed(cc, ar), False, ar
     )
     x = np.maximum(-z[nvars : nvars + m], ar.zero)
     bound = yz[n:] if prob.explicit_unit_bounds else None
-    return _pair(prob, ar, x, basis, yz[:n], bound)
+    return _pair(prob, ar, x, basis, yz[:n], bound, None, pivots, False)
 
 
 def solve_dual_explicit(prob: LpProblem, arithmetic: str = "float") -> DualSolution:
@@ -458,16 +532,16 @@ def check_duality(primal: LpSolution, dual: DualSolution) -> DualityReport:
     return DualityReport(ok, gap, pf, df, cs, f"{worst[0]} ({worst[1]:.3g})")
 
 
-def _same_problem(p1, p2) -> bool:
-    if p1 is p2:
-        return True
-    if p1 is None or p2 is None:
-        return False
-    return (
+def _same_polytope(p1, p2) -> bool:
+    return p1 is p2 or (
         p1.explicit_unit_bounds == p2.explicit_unit_bounds
         and p1.A.shape == p2.A.shape
         and np.array_equal(p1.A, p2.A)
         and np.array_equal(p1.b, p2.b)
-        and np.array_equal(p1.objective, p2.objective)
     )
 
+
+def _same_problem(p1, p2) -> bool:
+    if p1 is None or p2 is None:
+        return p1 is p2
+    return _same_polytope(p1, p2) and np.array_equal(p1.objective, p2.objective)

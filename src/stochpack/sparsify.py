@@ -320,7 +320,8 @@ def speedup_run(
         raise StructureError("epsilon and delta must be in (0, 1)")
     n_vertices, k, edges = hypergraph_view(inst)
     ones = np.ones(inst.m, dtype=np.int64)
-    s = max(1, math.ceil(float(adapter.solve_relaxation(ones).value) - 1e-9))
+    unit = adapter.solve_relaxation(ones)
+    s = max(1, math.ceil(float(unit.value) - 1e-9))
     c_max = int(obj.c_plus.max()) if obj.m else 0
     eps_prime = epsilon / (1 + c_max)
     delta_prime = delta / 4.0
@@ -338,7 +339,9 @@ def speedup_run(
     }
     x_hat = np.zeros(inst.m, dtype=np.int64)
     if sparsified.induced is None:
-        return _run_result(oracle, adapter, x_hat, 0.0, RunTrace(mode=mode), notes)
+        return _run_result(
+            oracle, adapter, x_hat, 0.0, RunTrace(mode=mode), notes, start=unit
+        )
     induced = sparsified.induced
     ids = np.asarray(sparsified.surviving, dtype=np.int64)
     sub_obj = StochasticObjective(
@@ -359,13 +362,17 @@ def speedup_run(
         strategy_seed=strategy_seed,
         derandomize_integral=derandomize_integral,
     )
-    trace = _run_rounds(induced, sub_obj, view, sub_adapter, config, None)
-    x_sub, pess_lp, _ = _round_pessimistic(induced, sub_obj, view, sub_adapter)
+    trace, last = _run_rounds(induced, sub_obj, view, sub_adapter, config, None)
+    x_sub, pess, _ = _round_pessimistic(induced, sub_obj, view, sub_adapter, last)
     x_hat[ids] = np.asarray(x_sub, dtype=np.int64)
     if np.any(inst.A @ x_hat > inst.b):
         raise StructureError("sparsified solution violates the original system")
     notes["iterations"] = T
-    return _run_result(oracle, adapter, x_hat, pess_lp, trace, notes)
+    # The omniscient relaxation of the original instance resumes from the
+    # unit-weight one; the induced instance's answers solve another polytope.
+    return _run_result(
+        oracle, adapter, x_hat, float(pess.value), trace, notes, start=unit
+    )
 
 
 def _induced_adapter(induced: PackingInstance) -> ProblemAdapter:

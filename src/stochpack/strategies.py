@@ -37,6 +37,8 @@ RunHook = Callable[[int, np.ndarray], None]
 
 _INTEGRALITY_TOL = 1e-7
 
+STRATEGY_MODES = ("adaptive", "nonadaptive")
+
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -50,7 +52,7 @@ class StrategyConfig:
     trace_pessimistic: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in ("adaptive", "nonadaptive"):
+        if self.mode not in STRATEGY_MODES:
             raise StructureError(f"unknown mode {self.mode!r}")
         if self.T < 1:
             raise StructureError("T must be at least 1")
@@ -189,14 +191,16 @@ def _check_run_inputs(inst, obj, oracle, adapter):
             raise StructureError(f"{name} is bound to a different instance")
 
 
-def _run_rounds(inst, obj, oracle, adapter, config, hook) -> RunTrace:
+def _run_rounds(inst, obj, oracle, adapter, config, hook):
     """The round loop of both strategies; ``config.mode`` picks what a pick does.
 
     Every round solves the optimistic relaxation and picks items by coin
     (or, with ``derandomize_integral``, the support of an integral solution).
     The adaptive mode queries its picks at once.  The non-adaptive mode
     instead supposes them at their pessimistic value for the later rounds,
-    then queries the whole supposed set after round T.
+    then queries the whole supposed set after round T.  Only the objective
+    moves between rounds, so each solve starts from the previous round's
+    answer.  Returns the trace and the last round's solution.
     """
     _check_run_inputs(inst, obj, oracle, adapter)
     adaptive = config.mode == "adaptive"
@@ -204,13 +208,14 @@ def _run_rounds(inst, obj, oracle, adapter, config, hook) -> RunTrace:
     scale = max(adapter.scale_w, 1.0)
     supposed = np.zeros(inst.m, dtype=bool)
     trace = RunTrace(mode=config.mode)
+    sol = pess_sol = None
     if hook:
         hook(0, pessimistic_vector(oracle, obj))
     for t in range(1, config.T + 1):
         c_eff = optimistic_vector(oracle, obj)
         if not adaptive:
             c_eff = np.where(supposed & ~oracle.revealed_mask(), obj.c_minus, c_eff)
-        sol = adapter.solve_relaxation(c_eff)
+        sol = adapter.solve_relaxation(c_eff, start=sol)
         x = _relaxation_x(sol, inst.m)
         if config.derandomize_integral and _is_integral(x):
             picked = x > 0.5
@@ -224,16 +229,15 @@ def _run_rounds(inst, obj, oracle, adapter, config, hook) -> RunTrace:
             selected = np.nonzero(picked & ~supposed)[0]
             supposed[selected] = True
         pess = pessimistic_vector(oracle, obj)
-        pess_value = (
-            float(adapter.solve_relaxation(pess).value)
-            if config.trace_pessimistic
-            else None
-        )
+        if config.trace_pessimistic:
+            # A chain of its own, so tracing leaves the optimistic vertices
+            # (and with them the coin flips) as they are without it.
+            pess_sol = adapter.solve_relaxation(pess, start=pess_sol or sol)
         trace.records.append(
             IterationRecord(
                 t=t,
                 optimistic_value=float(sol.value),
-                pessimistic_value=pess_value,
+                pessimistic_value=float(pess_sol.value) if pess_sol else None,
                 selected=tuple(int(j) for j in selected),
                 cumulative_queries=oracle.total_queries,
             )
@@ -246,39 +250,42 @@ def _run_rounds(inst, obj, oracle, adapter, config, hook) -> RunTrace:
             oracle.query(int(j))
         if hook:
             hook(config.T + 1, pessimistic_vector(oracle, obj))
-    return trace
+    return trace, sol
 
 
-def _round_pessimistic(inst, obj, oracle, adapter):
-    """Round and relax the pessimistic problem: ``(x_hat, LP value, omniscient)``.
+def _round_pessimistic(inst, obj, oracle, adapter, start=None):
+    """Round and relax the pessimistic problem: ``(x_hat, LP answer, omniscient)``.
 
-    When the pessimistic vector equals the realization, the omniscient
-    problem is the same one, and ``omniscient`` holds its (LP, IP) values so
-    that they are not solved again; otherwise it is None.
+    The relaxation resumes from ``start``.  When the pessimistic vector
+    equals the realization, the omniscient problem is the same one, and
+    ``omniscient`` holds its (LP, IP) values so that they are not solved
+    again; otherwise it is None.
     """
     cunder = pessimistic_vector(oracle, obj)
     rounded = adapter.round_integral(cunder)
     if np.any(inst.A @ rounded.x > inst.b):
         raise StructureError("adapter returned an infeasible integral solution")
-    pess_lp = float(adapter.solve_relaxation(cunder).value)
+    pess = adapter.solve_relaxation(cunder, start=start)
     omniscient = None
     if np.array_equal(cunder, oracle.hidden_realization.c):
-        omniscient = (pess_lp, int(rounded.value))
-    return rounded.x, pess_lp, omniscient
+        omniscient = (float(pess.value), int(rounded.value))
+    return rounded.x, pess, omniscient
 
 
 def _run_result(
-    oracle, adapter, x_hat, pess_lp, trace, notes, omniscient=None
+    oracle, adapter, x_hat, pess_lp, trace, notes, omniscient=None, start=None
 ) -> RunResult:
     """Score ``x_hat`` against the omniscient optima of the realization.
 
-    ``omniscient`` is the (LP, IP) pair when it is already known.
+    ``omniscient`` is the (LP, IP) pair when it is already known; otherwise
+    the omniscient relaxation resumes from ``start``, an earlier answer of
+    ``adapter``.
     """
     real_c = oracle.hidden_realization.c
     value = int(real_c @ x_hat)
     if omniscient is None:
         omniscient = (
-            float(adapter.solve_relaxation(real_c).value),
+            float(adapter.solve_relaxation(real_c, start=start).value),
             int(adapter.omniscient_ip(real_c)),
         )
     omn_lp, omn_ip = omniscient
@@ -297,9 +304,11 @@ def _run_result(
     )
 
 
-def _finish_run(inst, obj, oracle, adapter, trace) -> RunResult:
-    x_hat, pess_lp, omniscient = _round_pessimistic(inst, obj, oracle, adapter)
-    return _run_result(oracle, adapter, x_hat, pess_lp, trace, {}, omniscient)
+def _finish_run(inst, obj, oracle, adapter, trace, start=None) -> RunResult:
+    x_hat, pess, omniscient = _round_pessimistic(inst, obj, oracle, adapter, start)
+    return _run_result(
+        oracle, adapter, x_hat, float(pess.value), trace, {}, omniscient, start=pess
+    )
 
 
 def run_adaptive(
@@ -319,8 +328,8 @@ def run_adaptive(
     """
     if config.mode != "adaptive":
         raise StructureError("config.mode must be 'adaptive'")
-    trace = _run_rounds(inst, obj, oracle, adapter, config, hook)
-    return _finish_run(inst, obj, oracle, adapter, trace)
+    trace, last = _run_rounds(inst, obj, oracle, adapter, config, hook)
+    return _finish_run(inst, obj, oracle, adapter, trace, last)
 
 
 def run_nonadaptive(
@@ -339,8 +348,8 @@ def run_nonadaptive(
     """
     if config.mode != "nonadaptive":
         raise StructureError("config.mode must be 'nonadaptive'")
-    trace = _run_rounds(inst, obj, oracle, adapter, config, hook)
-    return _finish_run(inst, obj, oracle, adapter, trace)
+    trace, last = _run_rounds(inst, obj, oracle, adapter, config, hook)
+    return _finish_run(inst, obj, oracle, adapter, trace, last)
 
 
 BASELINE_KINDS = ("omniscient", "blind", "uniform_random")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stochpack.cli import main
 
 
@@ -40,6 +42,34 @@ def test_bad_baseline_exit_code(tmp_path):
         "baselines": [{"T": 2}],
         "trials": 1,
         "master_seed": 0,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "-o", str(tmp_path / "rows.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "strategy, top",
+    [
+        ({"epsilon": 0.2}, {}),
+        ({"mode": "greedy"}, {}),
+        ({"mode": "adaptive"}, {"trials": "abc"}),
+        ({"mode": "adaptive"}, {"master_seed": "abc"}),
+        ({"mode": "adaptive", "T": "x"}, {}),
+        ({"mode": "adaptive", "epsilon": "x"}, {}),
+        ({"mode": "adaptive", "epsilon_prime": None}, {}),
+        ({"mode": "nonadaptive", "delta": [0.2]}, {}),
+        ({"mode": "nonadaptive", "logm_constant": "big"}, {}),
+    ],
+)
+def test_bad_strategy_exit_code(tmp_path, strategy, top):
+    spec = {
+        "instance": {"kind": "bipartite",
+                     "params": {"n_left": 2, "n_right": 2, "edge_prob": 1.0}},
+        "strategies": [strategy],
+        "trials": 1,
+        "master_seed": 0,
+        **top,
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

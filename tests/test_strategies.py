@@ -373,3 +373,56 @@ class TestBaselines:
         oracle = QueryOracle(k22, sample_realization(obj, 0))
         with pytest.raises(StructureError):
             run_baseline(k22, obj, oracle, adapter_for(k22), "psychic")
+
+
+class TestWarmStart:
+    """The round loop resumes each relaxation from the previous answer."""
+
+    def _recorded_run(self, mode, trace_pessimistic=False):
+        inst = gen_bipartite(20, 20, 0.3, seed=1)
+        obj = gen_objective(inst.m, 2)
+        adapter = adapter_for(inst)
+        relax = adapter.solve_relaxation
+        solves = []
+
+        def recording(weights, start=None):
+            sol = relax(weights, start=start)
+            solves.append((start, sol))
+            return sol
+
+        adapter.solve_relaxation = recording
+        T = default_iterations(inst, obj, 0.2, 0.2, 0.2)
+        config = StrategyConfig(
+            mode=mode, T=T, epsilon=0.2, epsilon_prime=0.2, delta=0.2,
+            strategy_seed=3, trace_pessimistic=trace_pessimistic,
+        )
+        runner = run_adaptive if mode == "adaptive" else run_nonadaptive
+        oracle = QueryOracle(inst, sample_realization(obj, 5))
+        return runner(inst, obj, oracle, adapter, config), solves, T
+
+    def test_rounds_after_the_first_are_warm(self):
+        result, solves, T = self._recorded_run("adaptive")
+        rounds = solves[:T]
+        assert rounds[0][0] is None and not rounds[0][1].warm
+        for (_, prev), (start, sol) in zip(rounds, rounds[1:]):
+            assert start is prev
+            assert sol.warm
+        mean_pivots = np.mean([sol.pivots for _, sol in rounds[1:]])
+        assert mean_pivots < 10
+        # The pessimistic solve resumes from the last round, the omniscient
+        # one from the pessimistic one.
+        (pess_start, pess), (omn_start, omn) = solves[T:]
+        assert pess_start is rounds[-1][1] and pess.warm
+        assert omn_start is pess and omn.warm
+        assert float(omn.value) == result.omniscient_lp_value
+
+    def test_tracing_pessimistic_values_keeps_the_run(self):
+        for mode in ("adaptive", "nonadaptive"):
+            plain, _, _ = self._recorded_run(mode)
+            traced, _, _ = self._recorded_run(mode, trace_pessimistic=True)
+            assert np.array_equal(plain.x_hat, traced.x_hat)
+            assert plain.queries_total == traced.queries_total
+            assert [r.selected for r in plain.trace.records] == [
+                r.selected for r in traced.trace.records
+            ]
+            assert all(r.pessimistic_value is not None for r in traced.trace.records)
