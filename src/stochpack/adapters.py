@@ -54,18 +54,86 @@ def _selection_vector(m: int, chosen) -> np.ndarray:
     return x
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _meta_count(meta, key: str, least: int = 0) -> int:
+    value = meta.get(key)
+    if not _is_int(value) or value < least:
+        raise StructureError(f"meta {key!r} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def hypergraph_view(inst: PackingInstance) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(n_vertices, k, edge list) of a graph or hypergraph instance, checked."""
+    return _graph_meta(inst)[:3]
+
+
+def _graph_meta(inst: PackingInstance):
+    """(n_vertices, k, edges, n_left): the one reader of graph metadata.
+
+    A bipartite ``meta`` holds ``n_left`` and ``edges`` (its vertices are the
+    rows), a general graph ``n_vertices`` and ``edges``, a hypergraph
+    ``n_vertices``, ``k`` and ``hyperedges``; ``n_left`` is None for the last
+    two.  Every edge must be k distinct vertices in range, one per item.
+    """
+    meta = inst.meta
+    n_left = None
+    if inst.family == "bipartite-matching":
+        n_left = _meta_count(meta, "n_left")
+        if n_left > inst.n:
+            raise StructureError(f"meta 'n_left' exceeds the {inst.n} vertices")
+        n_vertices, k, key = inst.n, 2, "edges"
+    elif inst.family == "nonbipartite-matching":
+        n_vertices, k, key = _meta_count(meta, "n_vertices"), 2, "edges"
+    elif inst.family == "k-hypergraph":
+        n_vertices, k = _meta_count(meta, "n_vertices"), _meta_count(meta, "k", 1)
+        key = "hyperedges"
+    else:
+        raise StructureError(f"family {inst.family!r} has no hypergraph form")
+    raw = meta.get(key)
+    if not isinstance(raw, (list, tuple)):
+        raise StructureError(f"meta {key!r} must be a list of edges, got {raw!r}")
+    edges = []
+    for e in raw:
+        if not (
+            isinstance(e, (list, tuple))
+            and all(_is_int(v) for v in e)
+            and len(set(e)) == len(e) == k
+            and all(0 <= v < n_vertices for v in e)
+        ):
+            raise StructureError(
+                f"edge {e!r} is not {k} distinct vertices in 0..{n_vertices - 1}"
+            )
+        edges.append(tuple(int(v) for v in e))
+    if len(edges) != inst.m:
+        raise StructureError(f"{len(edges)} edges do not match the {inst.m} items")
+    return n_vertices, k, edges, n_left
+
+
 class ProblemAdapter:
-    """Family plug-in contract; see module docstring for the alpha invariant."""
+    """Family plug-in contract; see module docstring for the alpha invariant.
+
+    The relaxation is max w.x subject to ``A`` x <= ``b`` and 0 <= x <= 1, with
+    the unit bounds as explicit variable bounds when ``explicit_unit_bounds``
+    is set.  ``A`` and ``b`` are the instance's own unless a family swaps in
+    a stronger polytope.
+    """
 
     family: str
     alpha: float
     scale_w: float = 1.0
+    explicit_unit_bounds: bool = False
 
     def __init__(self, inst: PackingInstance):
         self.instance = inst
+        self.A, self.b = inst.A, inst.b
 
     def solve_relaxation(self, weights, start=None) -> LpSolution:
-        raise NotImplementedError
+        w = _check_weights(self.instance, weights)
+        prob = LpProblem(self.A, self.b, w, self.explicit_unit_bounds)
+        return solve_primal(prob, start=start)
 
     def round_integral(self, weights) -> RoundedSolution:
         raise NotImplementedError
@@ -90,18 +158,8 @@ class ExplicitMatrixAdapter(ProblemAdapter):
             int(np.max(np.count_nonzero(inst.A, axis=0))) if inst.m else 1
         )
         self.alpha = 1.0 / (2 * max(support, 1))
-        self._explicit = inst.family == "k-cspip"
-        self.scale_w = inst.column_scale() if self._explicit else 1.0
-
-    def solve_relaxation(self, weights, start=None) -> LpSolution:
-        w = _check_weights(self.instance, weights)
-        prob = LpProblem(
-            self.instance.A,
-            self.instance.b,
-            w,
-            explicit_unit_bounds=self._explicit,
-        )
-        return solve_primal(prob, start=start)
+        self.explicit_unit_bounds = inst.family == "k-cspip"
+        self.scale_w = inst.column_scale() if self.explicit_unit_bounds else 1.0
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)
@@ -115,19 +173,8 @@ class BipartiteMatchingAdapter(ProblemAdapter):
 
     def __init__(self, inst: PackingInstance):
         super().__init__(inst)
-        meta = inst.meta
-        if "n_left" not in meta or "edges" not in meta:
-            raise StructureError("bipartite metadata needs n_left and edges")
-        self.n_left = int(meta["n_left"])
+        _, _, self.edges, self.n_left = _graph_meta(inst)
         self.n_right = inst.n - self.n_left
-        self.edges = [tuple(int(v) for v in e) for e in meta["edges"]]
-        if len(self.edges) != inst.m:
-            raise StructureError("edge list does not match the item count")
-
-    def solve_relaxation(self, weights, start=None) -> LpSolution:
-        w = _check_weights(self.instance, weights)
-        prob = LpProblem(self.instance.A, self.instance.b, w)
-        return solve_primal(prob, start=start)
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)
@@ -150,26 +197,13 @@ class BlossomMatchingAdapter(ProblemAdapter):
 
     def __init__(self, inst: PackingInstance):
         super().__init__(inst)
-        meta = inst.meta
-        if "n_vertices" not in meta or "edges" not in meta:
-            raise StructureError("graph metadata needs n_vertices and edges")
-        self.n_vertices = int(meta["n_vertices"])
+        self.n_vertices, _, self.edges = hypergraph_view(inst)
         if self.n_vertices > BLOSSOM_VERTEX_LIMIT:
             raise SizeRefusalError(
                 f"odd-set enumeration limited to {BLOSSOM_VERTEX_LIMIT} vertices, "
                 f"got {self.n_vertices}"
             )
-        self.edges = [tuple(int(v) for v in e) for e in meta["edges"]]
-        if len(self.edges) != inst.m:
-            raise StructureError("edge list does not match the item count")
-        self._A_aug, self._b_aug = _odd_set_augmented(
-            inst.A, inst.b, self.n_vertices, self.edges
-        )
-
-    def solve_relaxation(self, weights, start=None) -> LpSolution:
-        w = _check_weights(self.instance, weights)
-        prob = LpProblem(self._A_aug, self._b_aug, w)
-        return solve_primal(prob, start=start)
+        self.A, self.b = _odd_set_augmented(inst.A, inst.b, self.n_vertices, self.edges)
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)
@@ -184,21 +218,8 @@ class HypergraphMatchingAdapter(ProblemAdapter):
 
     def __init__(self, inst: PackingInstance):
         super().__init__(inst)
-        meta = inst.meta
-        if "k" not in meta or "hyperedges" not in meta:
-            raise StructureError("hypergraph metadata needs k and hyperedges")
-        self.k = int(meta["k"])
-        self.hyperedges = [tuple(int(v) for v in e) for e in meta["hyperedges"]]
-        if len(self.hyperedges) != inst.m:
-            raise StructureError("hyperedge list does not match the item count")
-        if any(len(set(e)) != self.k for e in self.hyperedges):
-            raise StructureError("hyperedges must have exactly k distinct vertices")
+        _, self.k, self.hyperedges = hypergraph_view(inst)
         self.alpha = 1.0 / (self.k - 1 + 1.0 / self.k)
-
-    def solve_relaxation(self, weights, start=None) -> LpSolution:
-        w = _check_weights(self.instance, weights)
-        prob = LpProblem(self.instance.A, self.instance.b, w)
-        return solve_primal(prob, start=start)
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)
@@ -232,7 +253,6 @@ class MatroidAdapter(ProblemAdapter):
             x=x,
             value=float(value),
             basis=tuple(chosen),
-            is_vertex=True,
             arithmetic="float",
             problem=None,
         )
@@ -256,18 +276,7 @@ class DegreeRelaxationAdapter(ProblemAdapter):
 
     def __init__(self, inst: PackingInstance):
         super().__init__(inst)
-        meta = inst.meta
-        if "n_vertices" not in meta or "edges" not in meta:
-            raise StructureError("graph metadata needs n_vertices and edges")
-        self.n_vertices = int(meta["n_vertices"])
-        self.edges = [tuple(int(v) for v in e) for e in meta["edges"]]
-        if len(self.edges) != inst.m:
-            raise StructureError("edge list does not match the item count")
-
-    def solve_relaxation(self, weights, start=None) -> LpSolution:
-        w = _check_weights(self.instance, weights)
-        prob = LpProblem(self.instance.A, self.instance.b, w)
-        return solve_primal(prob, start=start)
+        self.n_vertices, _, self.edges = hypergraph_view(inst)
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)

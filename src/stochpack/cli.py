@@ -14,12 +14,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adapters import adapter_for
+from .adapters import adapter_for, hypergraph_view
 from .errors import SizeRefusalError, StochpackError, StructureError
 from .generators import gen_objective, generate
 from .harness import load_spec, run_experiment, sweep_T, write_csv
 from .instances import load_instance, save_instance, validate_instance
-from .sparsify import ColoringConfig, hypergraph_view, sparsify
+from .sparsify import ColoringConfig, sparsify
 from .witness import (
     enumerate_sparse_cover,
     enumerate_tdi_cover,

@@ -247,8 +247,19 @@ def gen_objective(
 
 
 def generate(kind: str, params: dict, seed: int) -> PackingInstance:
-    """Dispatch by kind name; used by the CLI and experiment specs."""
-    params = dict(params)
+    """Dispatch by kind name; used by the CLI and experiment specs.
+
+    A missing or ill-typed parameter raises ``StructureError``.
+    """
+    try:
+        return _generate(kind, dict(params), seed)
+    except KeyError as exc:
+        raise StructureError(f"{kind} generation needs parameter {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"malformed {kind} parameters: {exc}") from None
+
+
+def _generate(kind: str, params: dict, seed: int) -> PackingInstance:
     if kind == "bipartite":
         return gen_bipartite(
             int(params["n_left"]), int(params["n_right"]),

@@ -168,9 +168,24 @@ def validate_spec(spec: dict) -> dict:
         if _as_number(t, "t_grid entry", int) < 1:
             raise StructureError("t_grid entries must be >= 1")
     obj = spec.get("objective", {})
+    if not isinstance(obj, dict):
+        raise StructureError(f"objective must be an object, got {obj!r}")
     unknown = set(obj) - _OBJECTIVE_FIELDS
     if unknown:
         raise StructureError(f"unknown objective fields: {sorted(unknown)}")
+    for key in ("c_low", "c_high"):
+        pair = obj.get(key, [0, 0])
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+            and pair[0] <= pair[1]
+        ):
+            raise StructureError(
+                f"objective {key} must be two integers [low, high], got {pair!r}"
+            )
+    if "p" in obj:
+        _as_number(obj["p"], "objective p")
     return spec
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -28,9 +28,6 @@ FAMILIES = (
     "k-cspip",
     "matroid",
 )
-
-#: Seed used by examples and smoke checks when none is supplied.
-DEFAULT_SEED = 0
 
 INSTANCE_FORMAT = "packing-instance/v1"
 
@@ -240,35 +237,11 @@ class Realization:
         object.__setattr__(self, "c", _int_vector(self.c, "c"))
 
 
-def sample_realization(
-    obj: StochasticObjective,
-    seed: int,
-    tail: str | Callable[[np.random.Generator, int, int], int] = "point",
-) -> Realization:
-    """Draw item values independently.
-
-    The canonical draw is two-point: value ``c_plus[j]`` with probability p,
-    else ``c_minus[j]``.  ``tail="uniform"`` instead draws uniformly on the
-    interval when the top is missed, which still places mass >= p at the top.
-    A callable ``tail(rng, lo, hi) -> int`` plugs in any other conditional
-    miss distribution; it must return values inside ``[lo, hi]``.
-    """
+def sample_realization(obj: StochasticObjective, seed: int) -> Realization:
+    """Draw each item's value: ``c_plus[j]`` with probability p, else ``c_minus[j]``."""
     rng = np.random.default_rng(seed)
     top = rng.random(obj.m) < obj.p
-    if tail == "point":
-        miss = obj.c_minus
-    elif tail == "uniform":
-        miss = rng.integers(obj.c_minus, obj.c_plus + 1)
-    elif callable(tail):
-        miss = np.array(
-            [tail(rng, int(lo), int(hi)) for lo, hi in zip(obj.c_minus, obj.c_plus)],
-            dtype=np.int64,
-        )
-        if np.any(miss < obj.c_minus) or np.any(miss > obj.c_plus):
-            raise StructureError("tail sampler left the item's integer interval")
-    else:
-        raise StructureError(f"unknown tail distribution {tail!r}")
-    c = np.where(top, obj.c_plus, miss)
+    c = np.where(top, obj.c_plus, obj.c_minus)
     return Realization(c=c, seed=seed)
 
 
@@ -294,9 +267,6 @@ class QueryOracle:
     @property
     def revealed(self) -> frozenset[int]:
         return frozenset(int(j) for j in np.nonzero(self._mask)[0])
-
-    def is_revealed(self, j: int) -> bool:
-        return bool(self._mask[j])
 
     def revealed_mask(self) -> np.ndarray:
         return self._mask.copy()

@@ -97,7 +97,6 @@ class LpSolution:
     x: Sequence
     value: object
     basis: tuple
-    is_vertex: bool
     arithmetic: str
     problem: LpProblem
     status: Optional[np.ndarray] = None
@@ -136,9 +135,10 @@ class _Arithmetic:
     dtype: object
     zero: object
     one: object
-    tol: object  # a reduced cost or pivot-column entry counts beyond this
+    tol: object  # a reduced cost, pivot entry or infeasibility counts beyond this
     tie: object  # relative slack under which two ratios tie
     art: object  # largest artificial total phase 1 accepts as feasible
+    gap: object  # largest duality gap and slackness product check_duality accepts
     scalar: Callable  # converts a reported value to its scalar type
     # Pivot updates touch only the nonzero entries of the pivot row and
     # column.  That pays off when every element operation is a Python call
@@ -147,11 +147,11 @@ class _Arithmetic:
 
 
 _FLOAT = _Arithmetic(
-    "float", np.float64, 0.0, 1.0, FEAS_TOL, 1e-12, 1e-7, float, False
+    "float", np.float64, 0.0, 1.0, FEAS_TOL, 1e-12, 1e-7, GAP_TOL, float, False
 )
 _ZERO = Fraction(0)
 _EXACT = _Arithmetic(
-    "rational", object, _ZERO, Fraction(1), _ZERO, _ZERO, _ZERO, Fraction, True
+    "rational", object, _ZERO, Fraction(1), _ZERO, _ZERO, _ZERO, _ZERO, Fraction, True
 )
 
 
@@ -163,10 +163,10 @@ def _arithmetic(name: str) -> _Arithmetic:
 
 
 def _typed(values, ar: _Arithmetic) -> np.ndarray:
-    """The float64 data of a problem as an array of the backend's type."""
-    arr = np.asarray(values, dtype=np.float64)
+    """Problem data or an answer's scalars as an array of the backend's type."""
     if ar is _FLOAT:
-        return arr
+        return np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values, dtype=object)
     out = np.array([Fraction(v) for v in arr.ravel().tolist()], dtype=object)
     return out.reshape(arr.shape)
 
@@ -400,7 +400,6 @@ def _pair(prob, ar, x, basis, y, bound, status, pivots, warm):
         x=x,
         value=value,
         basis=basis,
-        is_vertex=True,
         arithmetic=ar.name,
         problem=prob,
         status=status,
@@ -446,90 +445,50 @@ def solve_dual_explicit(prob: LpProblem, arithmetic: str = "float") -> DualSolut
 
 
 def check_duality(primal: LpSolution, dual: DualSolution) -> DualityReport:
-    """Verify the optimality certificate: feasibility, zero gap, slackness."""
+    """Verify the optimality certificate: feasibility, zero gap, slackness.
+
+    Two rational answers are checked exactly, with every tolerance zero;
+    otherwise feasibility is held to ``FEAS_TOL`` and the gap and slackness
+    products to ``GAP_TOL``.
+    """
     if not _same_problem(primal.problem, dual.problem):
         raise StructureError("primal and dual come from different problems")
     prob = primal.problem
-    exact = primal.arithmetic == "rational" and dual.arithmetic == "rational"
-    worst = ("", 0.0)
-
-    def note(kind, amount):
-        nonlocal worst
+    exact = primal.arithmetic == dual.arithmetic == "rational"
+    ar = _EXACT if exact else _FLOAT
+    zero = ar.zero
+    A, b, c = (_typed(v, ar) for v in (prob.A, prob.b, prob.objective))
+    x, y = _typed(primal.x, ar), _typed(dual.y, ar)
+    z = np.full(prob.m, zero, dtype=ar.dtype)
+    if dual.bound_duals is not None:
+        z = _typed(dual.bound_duals, ar)
+    row_act = A @ x if prob.m else np.full(prob.n, zero, dtype=ar.dtype)
+    col_y = y @ A if prob.n else np.full(prob.m, zero, dtype=ar.dtype)
+    reduced = c - col_y - z
+    p_viol = max(np.max(row_act - b, initial=zero), np.max(-x, initial=zero))
+    cs_viol = max(
+        np.max(np.abs(y * (b - row_act)), initial=zero),
+        np.max(np.abs(x * reduced), initial=zero),
+    )
+    if prob.explicit_unit_bounds:
+        p_viol = max(p_viol, np.max(x - ar.one, initial=zero))
+        cs_viol = max(cs_viol, np.max(np.abs(z * (ar.one - x)), initial=zero))
+    d_viol = max(np.max(reduced, initial=zero), np.max(-y, initial=zero))
+    gap = ar.scalar(primal.value) - ar.scalar(dual.value)
+    pf, df, cs = p_viol <= ar.tol, d_viol <= ar.tol, cs_viol <= ar.gap
+    ok = pf and df and abs(gap) <= ar.gap and cs
+    worst = ("none", 0.0)
+    for kind, amount in (
+        ("primal feasibility", p_viol),
+        ("dual feasibility", d_viol),
+        ("duality gap", abs(gap)),
+        ("complementary slackness", cs_viol),
+    ):
         if float(amount) > worst[1]:
             worst = (kind, float(amount))
-
-    if exact:
-        A = [[Fraction(v) for v in row] for row in prob.A.tolist()]
-        b = [Fraction(v) for v in prob.b.tolist()]
-        c = [Fraction(v) for v in prob.objective.tolist()]
-        x = [Fraction(v) for v in primal.x]
-        y = [Fraction(v) for v in dual.y]
-        z = (
-            [Fraction(v) for v in dual.bound_duals]
-            if dual.bound_duals is not None
-            else [Fraction(0)] * prob.m
-        )
-        row_act = [sum(A[i][j] * x[j] for j in range(prob.m)) for i in range(prob.n)]
-        col_y = [sum(A[i][j] * y[i] for i in range(prob.n)) for j in range(prob.m)]
-        pf = all(xj >= 0 for xj in x) and all(
-            row_act[i] <= b[i] for i in range(prob.n)
-        )
-        if prob.explicit_unit_bounds:
-            pf = pf and all(xj <= 1 for xj in x)
-        df = all(yi >= 0 for yi in y) and all(
-            col_y[j] + z[j] >= c[j] for j in range(prob.m)
-        )
-        gap = primal.value - dual.value
-        cs = all(
-            y[i] == 0 or row_act[i] == b[i] for i in range(prob.n)
-        ) and all(x[j] == 0 or col_y[j] + z[j] == c[j] for j in range(prob.m))
-        if prob.explicit_unit_bounds:
-            cs = cs and all(z[j] == 0 or x[j] == 1 for j in range(prob.m))
-        ok = pf and df and gap == 0 and cs
-        if not pf:
-            note("primal infeasible", 1.0)
-        if not df:
-            note("dual infeasible", 1.0)
-        if gap != 0:
-            note("duality gap", abs(gap))
-        if not cs:
-            note("complementary slackness", 1.0)
-        return DualityReport(ok, gap, pf, df, cs, worst[0] or "none")
-
-    A, b, c = prob.A, prob.b, prob.objective
-    x = np.asarray([float(v) for v in primal.x])
-    y = np.asarray([float(v) for v in dual.y])
-    z = (
-        np.asarray([float(v) for v in dual.bound_duals])
-        if dual.bound_duals is not None
-        else np.zeros(prob.m)
+    return DualityReport(
+        bool(ok), gap, bool(pf), bool(df), bool(cs), f"{worst[0]} ({worst[1]:.3g})"
     )
-    row_act = A @ x if prob.m else np.zeros(prob.n)
-    col_y = y @ A if prob.n else np.zeros(prob.m)
-    p_viol = max(
-        float(np.max(row_act - b, initial=0.0)), float(np.max(-x, initial=0.0))
-    )
-    if prob.explicit_unit_bounds:
-        p_viol = max(p_viol, float(np.max(x - 1.0, initial=0.0)))
-    d_viol = max(
-        float(np.max(c - col_y - z, initial=0.0)), float(np.max(-y, initial=0.0))
-    )
-    gap = float(primal.value) - float(dual.value)
-    cs_viol = max(
-        float(np.max(np.abs(y * (b - row_act)), initial=0.0)),
-        float(np.max(np.abs(x * (c - col_y - z)), initial=0.0)),
-    )
-    if prob.explicit_unit_bounds:
-        cs_viol = max(cs_viol, float(np.max(np.abs(z * (1.0 - x)), initial=0.0)))
-    pf = p_viol <= FEAS_TOL
-    df = d_viol <= FEAS_TOL
-    cs = cs_viol <= GAP_TOL
-    ok = pf and df and abs(gap) <= GAP_TOL and cs
-    note("primal feasibility", p_viol)
-    note("dual feasibility", d_viol)
-    note("duality gap", abs(gap))
-    note("complementary slackness", cs_viol)
-    return DualityReport(ok, gap, pf, df, cs, f"{worst[0]} ({worst[1]:.3g})")
 
 
 def _same_polytope(p1, p2) -> bool:

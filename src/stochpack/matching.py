@@ -104,15 +104,17 @@ def max_weight_matching_general(n_vertices, edges, weights):
     return value, chosen
 
 
-def max_weight_set_packing(groundsets, weights, limit=BRUTE_FORCE_ITEM_LIMIT):
+def max_weight_set_packing(groundsets, weights):
     """Best disjoint sub-collection by pruned exhaustive search.
 
     ``groundsets`` are vertex bitmasks (or iterables of vertex ids).  Used for
-    hypergraph matchings; exact, guarded at ``limit`` sets.
+    hypergraph matchings; exact, guarded at ``BRUTE_FORCE_ITEM_LIMIT`` sets.
     """
     m = len(groundsets)
-    if m > limit:
-        raise SizeRefusalError(f"set packing brute force limited to {limit} items")
+    if m > BRUTE_FORCE_ITEM_LIMIT:
+        raise SizeRefusalError(
+            f"set packing brute force limited to {BRUTE_FORCE_ITEM_LIMIT} items"
+        )
     masks = [
         gs if isinstance(gs, int) else _mask(gs) for gs in groundsets
     ]
@@ -138,17 +140,19 @@ def max_weight_set_packing(groundsets, weights, limit=BRUTE_FORCE_ITEM_LIMIT):
     return best_val, sorted(best_sel)
 
 
-def max_weight_packing_bruteforce(A, b, weights, limit=BRUTE_FORCE_ITEM_LIMIT):
+def max_weight_packing_bruteforce(A, b, weights):
     """Exact 0/1 packing optimum for an explicit system, by pruned search.
 
-    Returns (value, x) with x a 0/1 numpy vector.  Guarded at ``limit`` items
-    unless the caller raises it.
+    Returns (value, x) with x a 0/1 numpy vector.  Guarded at
+    ``BRUTE_FORCE_ITEM_LIMIT`` items.
     """
     A = np.asarray(A)
     b = np.asarray(b)
     n, m = A.shape
-    if m > limit:
-        raise SizeRefusalError(f"packing brute force limited to {limit} items, got {m}")
+    if m > BRUTE_FORCE_ITEM_LIMIT:
+        raise SizeRefusalError(
+            f"packing brute force limited to {BRUTE_FORCE_ITEM_LIMIT} items, got {m}"
+        )
     weights = np.asarray(weights)
     order = sorted(range(m), key=lambda j: (-weights[j], j))
     suffix = np.zeros(m + 1)

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import SizeRefusalError, StructureError
 
-BRUTE_FORCE_GROUND_LIMIT = 16
-
 
 class Matroid:
     """Independence oracle over ground set {0, ..., m-1}."""
@@ -25,15 +23,6 @@ class Matroid:
 
     def independent(self, subset) -> bool:
         raise NotImplementedError
-
-    def rank(self, subset=None) -> int:
-        """Greedy rank of the subset (whole ground set if omitted)."""
-        items = range(self.m) if subset is None else sorted(set(subset))
-        chosen: list[int] = []
-        for e in items:
-            if self.independent(chosen + [e]):
-                chosen.append(e)
-        return len(chosen)
 
 
 @dataclass(frozen=True)
@@ -161,35 +150,6 @@ def greedy_max_weight(matroid: Matroid, weights):
             chosen.append(e)
             value += weights[e]
     return value, sorted(chosen)
-
-
-def brute_force_max_weight(matroid: Matroid, weights) -> int:
-    """Enumerate every subset; the oracle counterpart to the greedy."""
-    if matroid.m > BRUTE_FORCE_GROUND_LIMIT:
-        raise SizeRefusalError(
-            f"matroid brute force limited to {BRUTE_FORCE_GROUND_LIMIT} elements"
-        )
-    best = 0
-    for mask in range(1 << matroid.m):
-        subset = [e for e in range(matroid.m) if mask >> e & 1]
-        val = sum(weights[e] for e in subset)
-        if val > best and matroid.independent(subset):
-            best = val
-    return best
-
-
-def spot_check_submodularity(matroid: Matroid, seed: int, samples: int = 60) -> bool:
-    """Sampled sanity check: r(X) + r(Y) >= r(X | Y) + r(X & Y)."""
-    rng = np.random.default_rng(seed)
-    m = matroid.m
-    for _ in range(samples):
-        x = {int(e) for e in rng.integers(0, m, size=rng.integers(0, m + 1))}
-        y = {int(e) for e in rng.integers(0, m, size=rng.integers(0, m + 1))}
-        if matroid.rank(x) + matroid.rank(y) < matroid.rank(x | y) + matroid.rank(
-            x & y
-        ):
-            return False
-    return True
 
 
 def matroid_constraint_matrix(matroid: Matroid):

@@ -25,6 +25,7 @@ from .adapters import (
     HypergraphMatchingAdapter,
     ProblemAdapter,
     BLOSSOM_VERTEX_LIMIT,
+    hypergraph_view,
 )
 from .errors import StructureError
 from .instances import PackingInstance, Realization, StochasticObjective
@@ -98,22 +99,6 @@ class SparsifiedInstance:
     induced: Optional[PackingInstance]
     report: SparsifyReport
     color_ids: tuple[int, ...] = field(default=())  # dense id of each used color
-
-
-def hypergraph_view(inst: PackingInstance) -> tuple[int, int, list[tuple[int, ...]]]:
-    """(n_vertices, k, edge list) for the families that carry one."""
-    meta = inst.meta
-    if inst.family == "bipartite-matching":
-        return inst.n, 2, [tuple(int(v) for v in e) for e in meta["edges"]]
-    if inst.family == "nonbipartite-matching":
-        return int(meta["n_vertices"]), 2, [
-            tuple(int(v) for v in e) for e in meta["edges"]
-        ]
-    if inst.family == "k-hypergraph":
-        return int(meta["n_vertices"]), int(meta["k"]), [
-            tuple(int(v) for v in e) for e in meta["hyperedges"]
-        ]
-    raise StructureError(f"family {inst.family!r} has no hypergraph form")
 
 
 def sparsify(
@@ -379,7 +364,7 @@ def _induced_adapter(induced: PackingInstance) -> ProblemAdapter:
     if induced.family == "bipartite-matching":
         return BipartiteMatchingAdapter(induced)
     if induced.family == "nonbipartite-matching":
-        if int(induced.meta["n_vertices"]) <= BLOSSOM_VERTEX_LIMIT:
+        if hypergraph_view(induced)[0] <= BLOSSOM_VERTEX_LIMIT:
             return BlossomMatchingAdapter(induced)
         return DegreeRelaxationAdapter(induced)
     return HypergraphMatchingAdapter(induced)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adapters import ProblemAdapter
+from .adapters import ProblemAdapter, hypergraph_view
 from .errors import StructureError
 from .instances import (
     PackingInstance,
@@ -143,9 +143,8 @@ def default_log_witness_count(
     if fam == "k-hypergraph":
         if epsilon is None:
             raise StructureError("hypergraph default needs epsilon")
-        k = int(inst.meta["k"])
-        nv = max(int(inst.meta["n_vertices"]), 2)
-        return constant * (k * math.log(nv) + 1.0 / epsilon)
+        nv, k, _ = hypergraph_view(inst)
+        return constant * (k * math.log(max(nv, 2)) + 1.0 / epsilon)
     if fam == "k-cspip":
         if epsilon is None:
             raise StructureError("column-sparse default needs epsilon")

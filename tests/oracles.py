@@ -83,6 +83,28 @@ def independent_set_value_by_enumeration(matroid, weights):
     return best
 
 
+def matroid_rank(matroid, subset):
+    """Greedy rank of a subset: the size of any maximal independent subset."""
+    chosen = []
+    for e in sorted(set(subset)):
+        if matroid.independent(chosen + [e]):
+            chosen.append(e)
+    return len(chosen)
+
+
+def spot_check_submodularity(matroid, seed, samples=60):
+    """Sampled sanity check: r(X) + r(Y) >= r(X | Y) + r(X & Y)."""
+    rng = np.random.default_rng(seed)
+    m = matroid.m
+    for _ in range(samples):
+        x = {int(e) for e in rng.integers(0, m, size=rng.integers(0, m + 1))}
+        y = {int(e) for e in rng.integers(0, m, size=rng.integers(0, m + 1))}
+        lhs = matroid_rank(matroid, x) + matroid_rank(matroid, y)
+        if lhs < matroid_rank(matroid, x | y) + matroid_rank(matroid, x & y):
+            return False
+    return True
+
+
 def lp_value_by_vertex_enumeration(A, b, c):
     """Exact LP optimum of max{c.x : Ax <= b, 0 <= x <= 1} over all vertices.
 

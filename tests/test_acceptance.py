@@ -18,6 +18,7 @@ from oracles import (
     enumerate_tdi_cover_iterative,
     matching_value_by_enumeration,
 )
+from oracles import independent_set_value_by_enumeration as brute_force_max_weight
 from stochpack.adapters import adapter_for
 from stochpack.generators import (
     bipartite_instance,
@@ -33,7 +34,7 @@ from stochpack.harness import rows_to_csv, run_experiment
 from stochpack.instances import QueryOracle, StochasticObjective, sample_realization
 from stochpack.lp import LpProblem, check_duality, solve_dual, solve_primal
 from stochpack.matching import max_weight_matching_bitmask
-from stochpack.matroids import brute_force_max_weight, greedy_max_weight
+from stochpack.matroids import greedy_max_weight
 from stochpack.sparsify import ColoringConfig, falling_factorial_lower_bound, sparsify
 from stochpack.strategies import (
     StrategyConfig,

@@ -6,11 +6,13 @@ from oracles import (
     lp_value_by_vertex_enumeration,
     matching_value_by_enumeration,
     set_packing_value_by_enumeration,
+    spot_check_submodularity,
 )
 from stochpack.adapters import (
     BlossomMatchingAdapter,
     DegreeRelaxationAdapter,
     adapter_for,
+    hypergraph_view,
 )
 from stochpack.errors import SizeRefusalError, StructureError
 from stochpack.generators import (
@@ -29,9 +31,7 @@ from stochpack.matroids import (
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
-    brute_force_max_weight,
     greedy_max_weight,
-    spot_check_submodularity,
 )
 
 
@@ -99,7 +99,7 @@ class TestBlossom:
         w = np.array([2, 1, 3, 1, 2, 1, 1, 2, 1, 3][: inst.m])
         lp_float = float(adapter.solve_relaxation(w).value)
         exact = solve_primal(
-            LpProblem(adapter._A_aug, adapter._b_aug, w), arithmetic="rational"
+            LpProblem(adapter.A, adapter.b, w), arithmetic="rational"
         )
         assert lp_float == pytest.approx(float(exact.value), abs=1e-7)
 
@@ -171,7 +171,6 @@ class TestMatroid:
             for _ in range(5):
                 w = list(rng.integers(0, 6, size=matroid.m))
                 greedy, _ = greedy_max_weight(matroid, w)
-                assert greedy == brute_force_max_weight(matroid, w)
                 assert greedy == independent_set_value_by_enumeration(matroid, w)
 
     def test_greedy_equals_engine_lp_on_explicit_matrix(self):
@@ -296,3 +295,76 @@ def test_degree_relaxation_adapter_checks_metadata(triangle):
 
 def test_blossom_alpha_unaffected_by_row_count(triangle):
     assert BlossomMatchingAdapter(triangle).alpha == 1.0
+
+
+_K22_EDGES = [[0, 2], [0, 3], [1, 2], [1, 3]]
+_PATH_EDGES = [[0, 1], [1, 2]]
+_TRIPLES = [[0, 1, 2], [2, 3, 4]]
+
+
+@pytest.mark.parametrize(
+    "family, meta",
+    [
+        ("bipartite", {"edges": _K22_EDGES}),
+        ("bipartite", {"n_left": "abc", "edges": _K22_EDGES}),
+        ("bipartite", {"n_left": 5, "edges": _K22_EDGES}),
+        ("bipartite", {"n_left": 2}),
+        ("bipartite", {"n_left": 2, "edges": "abc"}),
+        ("bipartite", {"n_left": 2, "edges": [[0]] + _K22_EDGES[1:]}),
+        ("bipartite", {"n_left": 2, "edges": [[0, 4]] + _K22_EDGES[1:]}),
+        ("bipartite", {"n_left": 2, "edges": _K22_EDGES[:3]}),
+        ("graph", {"edges": _PATH_EDGES}),
+        ("graph", {"n_vertices": 2.5, "edges": _PATH_EDGES}),
+        ("graph", {"n_vertices": 3}),
+        ("graph", {"n_vertices": 3, "edges": [[0, 1], [2, 2]]}),
+        ("graph", {"n_vertices": 3, "edges": [[0, 1], ["1", 2]]}),
+        ("graph", {"n_vertices": 3, "edges": [[0, 1], [1, -1]]}),
+        ("graph", {"n_vertices": 3, "edges": _PATH_EDGES + [[0, 2]]}),
+        ("hypergraph", {"k": 3, "hyperedges": _TRIPLES}),
+        ("hypergraph", {"n_vertices": 5, "hyperedges": _TRIPLES}),
+        ("hypergraph", {"n_vertices": 5, "k": "3", "hyperedges": _TRIPLES}),
+        ("hypergraph", {"n_vertices": 5, "k": 3, "edges": _TRIPLES}),
+        ("hypergraph", {"n_vertices": 5, "k": 3, "hyperedges": [[0, 1, 2], [2, 3]]}),
+        ("hypergraph", {"n_vertices": 5, "k": 3, "hyperedges": [[0, 1, 2], [2, 3, 5]]}),
+        ("hypergraph", {"n_vertices": 5, "k": 3, "hyperedges": [[0, 1, 2]]}),
+    ],
+)
+def test_bad_graph_metadata_rejected(tmp_path, family, meta):
+    import json
+
+    from stochpack.cli import main
+    from stochpack.harness import run_experiment
+    from stochpack.instances import StochasticObjective, save_instance
+
+    inst = {
+        "bipartite": lambda: bipartite_instance(2, 2, _K22_EDGES),
+        "graph": lambda: graph_instance(3, _PATH_EDGES),
+        "hypergraph": lambda: hypergraph_instance(5, 3, _TRIPLES),
+    }[family]()
+    broken = type(inst)(A=inst.A, b=inst.b, family=inst.family, meta=meta)
+    with pytest.raises(StructureError):
+        hypergraph_view(broken)
+    with pytest.raises(StructureError):
+        adapter_for(broken)
+    if family == "graph":
+        with pytest.raises(StructureError):
+            DegreeRelaxationAdapter(broken)
+    # A file with the same metadata gives error rows instead of aborting the
+    # run, and `stochpack sparsify` exits with the malformed-input code.
+    path = tmp_path / "inst.json"
+    obj = StochasticObjective(c_minus=[0] * inst.m, c_plus=[1] * inst.m, p=0.5)
+    save_instance(path, inst, obj)
+    data = json.loads(path.read_text())
+    data["meta"] = meta
+    path.write_text(json.dumps(data))
+    spec = {
+        "instance": {"file": str(path)},
+        "strategies": [{"mode": "adaptive", "T": 2}],
+        "baselines": ["omniscient"],
+        "trials": 2,
+        "master_seed": 0,
+    }
+    rows, _ = run_experiment(spec)
+    assert len(rows) == 4
+    assert all(row["error"].startswith("StructureError") for row in rows)
+    assert main(["sparsify", str(path), "--epsilon", "0.4", "--delta", "0.4"]) == 2

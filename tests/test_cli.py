@@ -60,6 +60,13 @@ def test_bad_baseline_exit_code(tmp_path):
         ({"mode": "adaptive", "epsilon_prime": None}, {}),
         ({"mode": "nonadaptive", "delta": [0.2]}, {}),
         ({"mode": "nonadaptive", "logm_constant": "big"}, {}),
+        ({"mode": "adaptive"}, {"objective": []}),
+        ({"mode": "adaptive"}, {"objective": {"p": "x"}}),
+        ({"mode": "adaptive"}, {"objective": {"c_high": "ab"}}),
+        ({"mode": "adaptive"}, {"objective": {"c_low": [0]}}),
+        ({"mode": "adaptive"}, {"objective": {"c_low": [0, "1"]}}),
+        ({"mode": "adaptive"}, {"objective": {"c_low": [0, 1.5]}}),
+        ({"mode": "adaptive"}, {"objective": {"c_high": [2, 1]}}),
     ],
 )
 def test_bad_strategy_exit_code(tmp_path, strategy, top):
@@ -137,3 +144,29 @@ def test_bad_spec_exit_code(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"format": "experiment/v1", "oops": 1}))
     assert main(["run", str(path), "-o", str(tmp_path / "x.csv")]) == 2
+
+
+def test_gen_missing_param_exit_code(tmp_path):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "bipartite", "--param", "n_left=3", "-o", str(out)]) == 2
+    assert main(["gen", "graph", "--param", "n=abc", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params", [{"n_left": "abc", "n_right": 2}, {"n_left": 2}, {"n": 4}]
+)
+def test_bad_params_give_error_rows(tmp_path, params):
+    spec = {
+        "instance": {"kind": "bipartite", "params": params},
+        "baselines": ["omniscient"],
+        "trials": 2,
+        "master_seed": 0,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rows = tmp_path / "rows.csv"
+    assert main(["run", str(path), "-o", str(rows)]) == 0
+    lines = rows.read_text().splitlines()
+    assert len(lines) == 3
+    assert all("StructureError" in line for line in lines[1:])

@@ -63,7 +63,6 @@ class TestPrimal:
         prob = LpProblem(A=[[1, 1]], b=[1], objective=[1, 1])
         sol = solve_primal(prob)
         assert sol.value == pytest.approx(1.0)
-        assert sol.is_vertex
 
     def test_k22_unit_weights_matches_enumeration(self, k22):
         prob = LpProblem(k22.A, k22.b, np.ones(4))
@@ -193,18 +192,22 @@ class TestCheckDuality:
 
     def test_scaled_dual_fails_feasibility(self, k22):
         prob = LpProblem(k22.A, k22.b, np.ones(4))
-        sol = solve_primal(prob)
-        dual = solve_dual(prob)
-        broken = DualSolution(
-            y=np.asarray(dual.y) * 0.9,
-            bound_duals=None,
-            value=float(np.asarray(dual.y) @ k22.b) * 0.9,
-            arithmetic="float",
-            problem=prob,
-        )
-        rep = check_duality(sol, broken)
-        assert not rep.ok
-        assert not rep.dual_feasible
+        for arithmetic, factor in (("float", 0.9), ("rational", Fraction(9, 10))):
+            sol = solve_primal(prob, arithmetic=arithmetic)
+            dual = solve_dual(prob, arithmetic=arithmetic)
+            y = np.asarray(dual.y) * factor
+            broken = DualSolution(
+                y=y,
+                bound_duals=None,
+                value=(np.asarray(dual.y) @ k22.b) * factor,
+                arithmetic=arithmetic,
+                problem=prob,
+            )
+            rep = check_duality(sol, broken)
+            assert not rep.ok
+            assert not rep.dual_feasible
+            if arithmetic == "rational":
+                assert rep.gap == Fraction(1, 5)
 
     def test_mismatched_problems_rejected(self, k22):
         p1 = LpProblem(k22.A, k22.b, np.ones(4))
