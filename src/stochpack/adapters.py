@@ -14,15 +14,15 @@ integrality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import matroids as mat
 from .errors import SizeRefusalError, StructureError
 from .instances import PackingInstance
-from .lp import LpProblem, LpSolution, solve_primal
+from .lp import FEAS_TOL, LpProblem, LpSolution, solve_primal
 from .matching import (
+    MATCHING_DP_VERTEX_LIMIT,
     max_weight_bipartite_matching,
     max_weight_matching_bitmask,
     max_weight_matching_general,
@@ -30,7 +30,8 @@ from .matching import (
     max_weight_set_packing,
 )
 
-BLOSSOM_VERTEX_LIMIT = 14
+#: Most odd-set rows the matching relaxation adds before it solves again.
+CUTS_PER_PASS = 5
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,10 @@ def _graph_meta(inst: PackingInstance):
     A bipartite ``meta`` holds ``n_left`` and ``edges`` (its vertices are the
     rows), a general graph ``n_vertices`` and ``edges``, a hypergraph
     ``n_vertices``, ``k`` and ``hyperedges``; ``n_left`` is None for the last
-    two.  Every edge must be k distinct vertices in range, one per item.
+    two.  Every edge must be k distinct vertices in range, one per item, and
+    the instance must be the edges' packing system: ``A`` their vertex-edge
+    incidence and ``b`` all ones.  The adapters' rounding and the matching
+    relaxation solve that system, whatever ``A`` and ``b`` say.
     """
     meta = inst.meta
     n_left = None
@@ -109,6 +113,14 @@ def _graph_meta(inst: PackingInstance):
         edges.append(tuple(int(v) for v in e))
     if len(edges) != inst.m:
         raise StructureError(f"{len(edges)} edges do not match the {inst.m} items")
+    incidence = np.zeros((n_vertices, inst.m), dtype=np.int64)
+    for j, e in enumerate(edges):
+        incidence[list(e), j] = 1
+    if not np.array_equal(inst.A, incidence) or np.any(inst.b != 1):
+        raise StructureError(
+            "a graph instance must be the vertex-edge incidence of its edges "
+            "with unit capacities"
+        )
     return n_vertices, k, edges, n_left
 
 
@@ -117,8 +129,7 @@ class ProblemAdapter:
 
     The relaxation is max w.x subject to ``A`` x <= ``b`` and 0 <= x <= 1, with
     the unit bounds as explicit variable bounds when ``explicit_unit_bounds``
-    is set.  ``A`` and ``b`` are the instance's own unless a family swaps in
-    a stronger polytope.
+    is set.  ``A`` and ``b`` are the instance's own.
     """
 
     family: str
@@ -185,11 +196,12 @@ class BipartiteMatchingAdapter(ProblemAdapter):
 
 
 class BlossomMatchingAdapter(ProblemAdapter):
-    """General graphs via the odd-set strengthened relaxation.
+    """General graphs via the matching polytope, separated on demand.
 
-    All odd vertex subsets of size >= 3 are enumerated explicitly, which is
-    why the adapter refuses more than BLOSSOM_VERTEX_LIMIT vertices before
-    doing any work.  Rounding is an exact matching search.
+    ``A`` and ``b`` are the degree rows; ``solve_relaxation`` adds the odd-set
+    rows x(E(S)) <= (|S| - 1)/2 it needs.  Rounding is the bitmask matching
+    search, which is why the adapter refuses more than
+    ``MATCHING_DP_VERTEX_LIMIT`` vertices before doing any work.
     """
 
     family = "nonbipartite-matching"
@@ -198,12 +210,38 @@ class BlossomMatchingAdapter(ProblemAdapter):
     def __init__(self, inst: PackingInstance):
         super().__init__(inst)
         self.n_vertices, _, self.edges = hypergraph_view(inst)
-        if self.n_vertices > BLOSSOM_VERTEX_LIMIT:
+        if self.n_vertices > MATCHING_DP_VERTEX_LIMIT:
             raise SizeRefusalError(
-                f"odd-set enumeration limited to {BLOSSOM_VERTEX_LIMIT} vertices, "
+                f"matching adapter limited to {MATCHING_DP_VERTEX_LIMIT} vertices, "
                 f"got {self.n_vertices}"
             )
-        self.A, self.b = _odd_set_augmented(inst.A, inst.b, self.n_vertices, self.edges)
+
+    def solve_relaxation(self, weights, start=None) -> LpSolution:
+        """Optimum over the matching polytope by a cutting-plane loop.
+
+        The LP holds the degree rows, plus the odd-set rows of ``start`` when
+        it solved this graph.  While its optimum violates an odd-set row, up to
+        ``CUTS_PER_PASS`` of the most violated ones are added and it is solved
+        again, cold, since the polytope changed.  The final primal satisfies
+        every odd-set row and its duals, padded with zeros, are feasible for
+        the full system, so the answer is optimal over the matching polytope
+        and ``sol.problem`` certifies it.
+        """
+        w = _check_weights(self.instance, weights)
+        A, b = self.A, self.b
+        if start is not None and _holds_odd_set_rows(start.problem, A, b):
+            A, b = start.problem.A, start.problem.b
+        while True:
+            sol = solve_primal(LpProblem(A, b, w), start=start)
+            # A 0/1 point within the degree rows is a matching: no row is violated.
+            if np.all(np.abs(sol.x - np.round(sol.x)) <= FEAS_TOL):
+                return sol
+            cuts = _violated_odd_sets(self.n_vertices, self.edges, sol.x)
+            if not cuts:
+                return sol
+            rows, caps = zip(*cuts)
+            A, b = np.vstack([A, rows]), np.concatenate([b, caps])
+            start = None
 
     def round_integral(self, weights) -> RoundedSolution:
         w = _check_weights(self.instance, weights)
@@ -211,6 +249,74 @@ class BlossomMatchingAdapter(ProblemAdapter):
             self.n_vertices, self.edges, list(w)
         )
         return RoundedSolution(x=_selection_vector(self.instance.m, chosen), value=int(value))
+
+
+def _holds_odd_set_rows(prob, A, b) -> bool:
+    """Whether ``prob`` is the degree rows ``A``, ``b`` plus valid odd-set rows.
+
+    A valid extra row is 0/1 over the edges with a right-hand side of at
+    least half the vertices its edges touch, so no matching violates it.
+    """
+    n = A.shape[0]
+    if (
+        prob is None
+        or prob.explicit_unit_bounds
+        or prob.A.shape[0] < n
+        or prob.A.shape[1] != A.shape[1]
+        or not np.array_equal(prob.A[:n], A)
+        or not np.array_equal(prob.b[:n], b)
+    ):
+        return False
+    extra = prob.A[n:]
+    touched = np.count_nonzero(extra @ A.T, axis=1)
+    zero_one = np.all((extra == 0) | (extra == 1))
+    return bool(zero_one and np.all(prob.b[n:] >= touched // 2))
+
+
+def _violated_odd_sets(n_vertices, edges, x):
+    """The rows x(E(S)) <= (|S| - 1)/2 that ``x`` violates most, with their caps.
+
+    Exact separation after Padberg and Rao: join a root r to every vertex v
+    at capacity 1 - x(delta(v)).  For a vertex set S the cut around S then
+    has capacity x(delta(S)) + sum over v in S of (1 - x(delta(v))), which is
+    |S| - 2 x(E(S)), so the row of an odd S is violated exactly when that
+    cut is below one; and a cheapest cut around an odd S is a fundamental
+    cut of a Gomory-Hu tree.  Returns at most ``CUTS_PER_PASS`` (row, cap)
+    pairs, most violated first, ties by the sorted vertex set.
+    """
+    import networkx as nx
+
+    root = n_vertices
+    x = np.maximum(x, 0.0)
+    load = np.zeros(n_vertices)
+    g = nx.Graph()
+    g.add_nodes_from(range(n_vertices + 1))
+    for (u, v), xe in zip(edges, x):
+        load[u] += xe
+        load[v] += xe
+        if xe > 0:
+            cap = g[u][v]["capacity"] if g.has_edge(u, v) else 0.0
+            g.add_edge(u, v, capacity=cap + xe)
+    for v in range(n_vertices):
+        g.add_edge(v, root, capacity=max(1.0 - load[v], 0.0))
+    tree = nx.gomory_hu_tree(g)
+    parent = nx.dfs_predecessors(tree, root)
+    below = {v: {v} for v in tree}
+    for v in reversed(list(nx.dfs_preorder_nodes(tree, root))[1:]):
+        below[parent[v]] |= below[v]
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    found = []
+    for v, p in parent.items():
+        side = below[v]
+        if tree[v][p]["weight"] >= 1 or len(side) < 3 or len(side) % 2 == 0:
+            continue
+        inside = np.isin(ends, list(side)).all(axis=1)
+        cap = (len(side) - 1) // 2
+        excess = float(x[inside].sum()) - cap
+        if excess > FEAS_TOL:
+            found.append((-excess, sorted(side), inside.astype(np.int64), cap))
+    found.sort(key=lambda item: item[:2])
+    return [(row, cap) for _, _, row, cap in found[:CUTS_PER_PASS]]
 
 
 class HypergraphMatchingAdapter(ProblemAdapter):
@@ -266,9 +372,9 @@ class MatroidAdapter(ProblemAdapter):
 class DegreeRelaxationAdapter(ProblemAdapter):
     """Degree-constraint relaxation plus exact matching on general graphs.
 
-    Used for sparsified instances whose color graph is too large for the
-    odd-set adapter.  The degree LP has worst-case integrality gap 3/2 on
-    general graphs, hence alpha = 2/3.
+    Used for sparsified instances whose color graph has more vertices than
+    the matching adapter's bitmask rounding allows.  The degree LP has
+    worst-case integrality gap 3/2 on general graphs, hence alpha = 2/3.
     """
 
     family = "nonbipartite-matching"
@@ -297,23 +403,3 @@ def adapter_for(inst: PackingInstance) -> ProblemAdapter:
         "matroid": MatroidAdapter,
     }
     return table[inst.family](inst)
-
-
-def _odd_set_augmented(A, b, n_vertices, edges):
-    """Degree rows plus x(E(S)) <= floor(|S|/2) for every odd S, |S| >= 3."""
-    rows = [np.asarray(A[i]) for i in range(A.shape[0])]
-    caps = [int(v) for v in b]
-    m = len(edges)
-    for size in range(3, n_vertices + 1, 2):
-        for subset in combinations(range(n_vertices), size):
-            sset = set(subset)
-            row = np.zeros(m, dtype=np.int64)
-            inside = 0
-            for idx, (u, v) in enumerate(edges):
-                if u in sset and v in sset:
-                    row[idx] = 1
-                    inside += 1
-            if inside:
-                rows.append(row)
-                caps.append(size // 2)
-    return np.array(rows, dtype=np.int64), np.array(caps, dtype=np.int64)

@@ -132,6 +132,9 @@ def validate_spec(spec: dict) -> dict:
     if _as_number(spec["trials"], "trials", int) < 1:
         raise StructureError("trials must be >= 1")
     _as_number(spec["master_seed"], "master_seed", int)
+    for key in ("strategies", "baselines", "t_grid"):
+        if not isinstance(spec.get(key, []), (list, tuple)):
+            raise StructureError(f"{key} must be a list, got {spec[key]!r}")
     strategies = spec.get("strategies", [])
     baselines = spec.get("baselines", [])
     if not strategies and not baselines:

@@ -16,10 +16,9 @@ polytope, a basic artificial, a singular or infeasible basis) is ignored and
 the solve runs cold.
 
 Row duals are read off the final basis (the reduced costs of the slack
-columns); an independent route that solves the explicit covering dual is
-provided as a cross-check.  Problems whose constraint count dwarfs the
-variable count (blossom-augmented matchings) are automatically solved through
-that covering form, with the primal vertex recovered from its duals.
+columns); an independent route that solves the explicit covering dual, with
+the primal vertex recovered from its duals, is provided as a cross-check
+(``route="dual"``, ``solve_dual_explicit``).
 
 Solver state is per-call; problems are immutable and shareable across
 threads.  Feasibility comparisons use ``FEAS_TOL``; duality-gap acceptance
@@ -329,23 +328,16 @@ def _simplex(A, b, c, unit_bounds: bool, ar: _Arithmetic, start=None):
 # ---------------------------------------------------------------------------
 
 
-def _wants_dual_route(prob: LpProblem, route: str) -> bool:
-    if route == "dual":
-        return True
-    if route == "primal":
-        return False
-    if route != "auto":
-        raise StructureError(f"unknown route {route!r}")
-    return prob.n > 300 and prob.n > 3 * prob.m
-
-
 def solve_primal(
     prob: LpProblem,
     arithmetic: str = "float",
-    route: str = "auto",
+    route: str = "primal",
     start: Optional[LpSolution] = None,
 ) -> LpSolution:
     """Solve to an optimal basic feasible solution; deterministic for fixed inputs.
+
+    ``route`` is ``"primal"``, the simplex on the problem itself, or
+    ``"dual"``, the simplex on its covering dual (see the module docstring).
 
     ``start`` is an earlier answer; a float primal-route solve resumes phase
     2 from its basis when it solved the same ``A``, ``b`` and bounds (see the
@@ -357,7 +349,7 @@ def solve_primal(
 
 def solve_dual(prob: LpProblem, arithmetic: str = "float") -> DualSolution:
     """Row duals extracted from the optimal basis of the primal solve."""
-    _, dual = _solve_pair(prob, arithmetic, "auto")
+    _, dual = _solve_pair(prob, arithmetic, "primal")
     return dual
 
 
@@ -372,8 +364,10 @@ def _resume_state(prob: LpProblem, start: Optional[LpSolution]):
 
 def _solve_pair(prob, arithmetic, route, start=None):
     ar = _arithmetic(arithmetic)
-    if _wants_dual_route(prob, route):
+    if route == "dual":
         return _solve_via_covering(prob, ar)
+    if route != "primal":
+        raise StructureError(f"unknown route {route!r}")
     m, n = prob.m, prob.n
     x, basis, z, status, pivots, warm = _simplex(
         _typed(prob.A, ar),
@@ -451,6 +445,8 @@ def check_duality(primal: LpSolution, dual: DualSolution) -> DualityReport:
     otherwise feasibility is held to ``FEAS_TOL`` and the gap and slackness
     products to ``GAP_TOL``.
     """
+    if primal.problem is None or dual.problem is None:
+        raise StructureError("an answer without its LpProblem cannot be checked")
     if not _same_problem(primal.problem, dual.problem):
         raise StructureError("primal and dual come from different problems")
     prob = primal.problem
@@ -501,6 +497,4 @@ def _same_polytope(p1, p2) -> bool:
 
 
 def _same_problem(p1, p2) -> bool:
-    if p1 is None or p2 is None:
-        return p1 is p2
     return _same_polytope(p1, p2) and np.array_equal(p1.objective, p2.objective)

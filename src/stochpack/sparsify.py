@@ -24,11 +24,11 @@ from .adapters import (
     DegreeRelaxationAdapter,
     HypergraphMatchingAdapter,
     ProblemAdapter,
-    BLOSSOM_VERTEX_LIMIT,
     hypergraph_view,
 )
 from .errors import StructureError
 from .instances import PackingInstance, Realization, StochasticObjective
+from .matching import MATCHING_DP_VERTEX_LIMIT
 from .strategies import (
     RunResult,
     RunTrace,
@@ -364,7 +364,7 @@ def _induced_adapter(induced: PackingInstance) -> ProblemAdapter:
     if induced.family == "bipartite-matching":
         return BipartiteMatchingAdapter(induced)
     if induced.family == "nonbipartite-matching":
-        if hypergraph_view(induced)[0] <= BLOSSOM_VERTEX_LIMIT:
+        if hypergraph_view(induced)[0] <= MATCHING_DP_VERTEX_LIMIT:
             return BlossomMatchingAdapter(induced)
         return DegreeRelaxationAdapter(induced)
     return HypergraphMatchingAdapter(induced)

@@ -41,6 +41,26 @@ def matching_value_by_enumeration(edges, weights):
     return best
 
 
+def odd_set_polytope(A, b, n_vertices, edges):
+    """Degree rows plus x(E(S)) <= floor(|S|/2) for every odd S, |S| >= 3."""
+    rows = [np.asarray(A[i]) for i in range(A.shape[0])]
+    caps = [int(v) for v in b]
+    m = len(edges)
+    for size in range(3, n_vertices + 1, 2):
+        for subset in combinations(range(n_vertices), size):
+            sset = set(subset)
+            row = np.zeros(m, dtype=np.int64)
+            inside = 0
+            for idx, (u, v) in enumerate(edges):
+                if u in sset and v in sset:
+                    row[idx] = 1
+                    inside += 1
+            if inside:
+                rows.append(row)
+                caps.append(size // 2)
+    return np.array(rows, dtype=np.int64), np.array(caps, dtype=np.int64)
+
+
 def set_packing_value_by_enumeration(sets, weights):
     """Max-weight disjoint sub-collection by trying every subset."""
     m = len(sets)

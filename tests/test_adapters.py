@@ -5,6 +5,7 @@ from oracles import (
     independent_set_value_by_enumeration,
     lp_value_by_vertex_enumeration,
     matching_value_by_enumeration,
+    odd_set_polytope,
     set_packing_value_by_enumeration,
     spot_check_submodularity,
 )
@@ -75,7 +76,7 @@ class TestBlossom:
         assert adapter.round_integral(unit).value == 1
 
     def test_size_refusal_before_any_work(self):
-        inst = gen_graph(15, 0.3, seed=0)
+        inst = gen_graph(21, 0.3, seed=0)
         with pytest.raises(SizeRefusalError):
             adapter_for(inst)
 
@@ -98,9 +99,8 @@ class TestBlossom:
         adapter = adapter_for(inst)
         w = np.array([2, 1, 3, 1, 2, 1, 1, 2, 1, 3][: inst.m])
         lp_float = float(adapter.solve_relaxation(w).value)
-        exact = solve_primal(
-            LpProblem(adapter.A, adapter.b, w), arithmetic="rational"
-        )
+        A, b = odd_set_polytope(inst.A, inst.b, adapter.n_vertices, adapter.edges)
+        exact = solve_primal(LpProblem(A, b, w), arithmetic="rational")
         assert lp_float == pytest.approx(float(exact.value), abs=1e-7)
 
 
@@ -291,6 +291,50 @@ def test_degree_relaxation_adapter_checks_metadata(triangle):
         )
         with pytest.raises(StructureError):
             DegreeRelaxationAdapter(broken)
+
+
+@pytest.mark.parametrize(
+    "family, edges, A, b",
+    [
+        # Triangle at capacity 2: the edges' matching system says IP 1, but
+        # A x <= b admits all three edges.
+        ("nonbipartite-matching", [[0, 1], [0, 2], [1, 2]],
+         [[1, 1, 0], [1, 0, 1], [0, 1, 1]], [2, 2, 2]),
+        ("bipartite-matching", [[0, 2], [0, 3], [1, 2], [1, 3]],
+         [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]], [2, 2, 2, 2]),
+        # Edge (1, 2) is missing from row 1, so A x <= b admits it with (0, 1).
+        ("nonbipartite-matching", [[0, 1], [0, 2], [1, 2]],
+         [[1, 1, 0], [1, 0, 0], [0, 1, 1]], [1, 1, 1]),
+        ("k-hypergraph", [[0, 1, 2], [2, 3, 4]],
+         [[1, 0], [1, 0], [1, 1], [0, 1], [0, 1]], [1, 1, 2, 1, 1]),
+    ],
+)
+def test_graph_instance_must_be_its_incidence_system(tmp_path, family, edges, A, b):
+    from stochpack.harness import run_experiment
+    from stochpack.instances import PackingInstance, StochasticObjective, save_instance
+
+    n = len(A)
+    meta = {
+        "bipartite-matching": {"n_left": 2, "edges": edges},
+        "nonbipartite-matching": {"n_vertices": n, "edges": edges},
+        "k-hypergraph": {"n_vertices": n, "k": 3, "hyperedges": edges},
+    }[family]
+    inst = PackingInstance(A=A, b=b, family=family, meta=meta)
+    with pytest.raises(StructureError):
+        hypergraph_view(inst)
+    with pytest.raises(StructureError):
+        adapter_for(inst)
+    path = tmp_path / "inst.json"
+    m = len(edges)
+    save_instance(path, inst, StochasticObjective([0] * m, [1] * m, p=0.5))
+    spec = {
+        "instance": {"file": str(path)},
+        "baselines": ["omniscient"],
+        "trials": 1,
+        "master_seed": 0,
+    }
+    rows, _ = run_experiment(spec)
+    assert [row["error"].split(":")[0] for row in rows] == ["StructureError"]
 
 
 def test_blossom_alpha_unaffected_by_row_count(triangle):

@@ -67,6 +67,9 @@ def test_bad_baseline_exit_code(tmp_path):
         ({"mode": "adaptive"}, {"objective": {"c_low": [0, "1"]}}),
         ({"mode": "adaptive"}, {"objective": {"c_low": [0, 1.5]}}),
         ({"mode": "adaptive"}, {"objective": {"c_high": [2, 1]}}),
+        ({"mode": "adaptive"}, {"strategies": 5}),
+        ({"mode": "adaptive"}, {"baselines": 3}),
+        ({"mode": "adaptive"}, {"t_grid": 4}),
     ],
 )
 def test_bad_strategy_exit_code(tmp_path, strategy, top):

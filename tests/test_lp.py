@@ -215,6 +215,19 @@ class TestCheckDuality:
         with pytest.raises(StructureError):
             check_duality(solve_primal(p1), solve_dual(p2))
 
+    def test_answers_without_a_problem_rejected(self):
+        from stochpack.adapters import adapter_for
+        from stochpack.generators import gen_matroid
+
+        greedy = adapter_for(gen_matroid("uniform", seed=0, m=5, r=2))
+        sol = greedy.solve_relaxation(np.ones(5))
+        assert sol.problem is None
+        dual = DualSolution(
+            y=[], bound_duals=None, value=sol.value, arithmetic="float", problem=None
+        )
+        with pytest.raises(StructureError):
+            check_duality(sol, dual)
+
     def test_rational_gap_exactly_zero_on_random_10x10(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
